@@ -14,7 +14,6 @@ bound.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .bounds import (
@@ -95,7 +94,6 @@ class CorpusSpec:
     count: int = 1
     p: float = 0.5
     seed: int = 0
-    oracle_cap: int = 20
     bnb_cap: int = 40
     subset_cap: int = 40
 
@@ -330,7 +328,8 @@ def _invariant_checks(g: Graph, profile: StructuralProfile, report: BoundReport)
     if not minus:
         checks["lemma_3_1_i"] = True
     else:
-        assert profile.delta_star is not None, "-1 vertices imply a nonempty core"
+        if profile.delta_star is None:
+            raise BoundViolation("-1 vertices on a graph with an empty core", report.graph6, report)
         lo = ((profile.delta_star + 1) // 2 + 1) * len(minus)
         plus_not_leaf = len(witness.plus_set - profile.leaves)
         hi = (profile.Delta // 2) * plus_not_leaf
@@ -463,6 +462,9 @@ def audit_corpus(
             json_reports.append(report.to_json_dict())
 
     if jobs > 1:
+        # Imported only here, so serial sweeps never load the pool machinery.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for report, skip in pool.map(
                 _audit_item_star,

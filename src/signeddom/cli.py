@@ -103,7 +103,6 @@ def _corpus_flags(p):
     p.add_argument("--count", type=int, default=1, help="samples per size (random corpora)")
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap-oracle", type=int, default=20)
     p.add_argument("--cap-bnb", type=int, default=40)
 
 
@@ -173,7 +172,10 @@ def _cmd_solve(args) -> int:
     if args.param == "gamma_s":
         mode = "oracle" if args.mode == "oracle" else "branch_and_bound"
         value, f = signed_domination(g, mode, oracle_cap=args.cap_oracle, bnb_cap=args.cap_bnb)
-        assert not verify_sdf(g, f)
+        bad = verify_sdf(g, f)
+        if bad:
+            print(f"error: witness {f} is invalid at vertices {bad}", file=sys.stderr)
+            return 1
         witness = str(f)
     else:
         if args.param == "gamma":
@@ -220,7 +222,6 @@ def _corpus_spec(args) -> CorpusSpec:
         count=args.count,
         p=args.p,
         seed=args.seed,
-        oracle_cap=args.cap_oracle,
         bnb_cap=args.cap_bnb,
         subset_cap=args.cap_bnb,
     )

@@ -1,16 +1,16 @@
 """Exact solvers with certificates for signed domination and related parameters.
 
-Two routes compute the signed domination number: a transparent oracle that
-enumerates all 2^n sign vectors, and a pruned branch-and-bound. Both return
-the minimum weight together with a witnessing sign assignment, and among all
-optimal assignments they return the lexicographically smallest one (comparing
-per-vertex values with -1 < +1). The subset solvers (domination, k-tuple
-domination, k-limited packing, packing) run iterative deepening over the
-cardinality with pruned depth-first enumeration in ascending index order, so
-their witnesses are the lexicographically least optimal sets.
-
 A sign assignment f is feasible iff every closed neighborhood sums to at
-least 1, i.e. |N[v] ∩ V+| >= deg(v) + 1 - floor(deg(v)/2) for every v.
+least 1, i.e. |N[v] ∩ V-| <= floor(deg(v)/2) for every v. So the signed
+domination number, k-limited packings, packings, k-tuple domination and
+domination are all one problem: a largest S with |N[v] ∩ S| <= cap(v) at every
+v. One branch-and-bound kernel, ``_max_packing``, solves it in ascending index
+order and returns the lexicographically least optimal S, or for the
+domination side the optimal S with the lexicographically least complement.
+So sign assignments are the lexicographically smallest optimum (comparing
+per-vertex values with -1 < +1) and vertex sets the lexicographically least
+optimal set. A transparent oracle that enumerates all 2^n sign vectors is the
+independent second route for the signed domination number.
 """
 
 from __future__ import annotations
@@ -210,12 +210,12 @@ def signed_domination(
     Fast path: when every vertex is isolated, a leaf, or a support, those
     vertices are pinned to +1 by validity, so the optimum is n with the all-+1
     witness. Otherwise dispatches on ``mode`` ("oracle" enumerates all 2^n
-    assignments; "branch_and_bound" searches with pruning). Both modes return
-    the lexicographically smallest optimal assignment (-1 < +1 per index).
+    assignments; "branch_and_bound" takes V- as a maximum packing with
+    capacities floor(deg/2)). Both modes return the lexicographically smallest
+    optimal assignment (-1 < +1 per index).
     """
     n = g.n
-    pinned = forced_plus_mask(g)
-    if pinned == g.full_mask:
+    if forced_plus_mask(g) == g.full_mask:
         return n, SignedFunction(tuple([1] * n))
     if mode == "oracle":
         if n > oracle_cap:
@@ -224,7 +224,8 @@ def signed_domination(
     if mode in ("branch_and_bound", "bnb"):
         if n > bnb_cap:
             raise SizeCapError(f"branch-and-bound capped at n <= {bnb_cap}, got {n}")
-        return _sdf_branch_and_bound(g, pinned)
+        size, minus = _max_packing(g, [d // 2 for d in g.deg])
+        return n - 2 * size, SignedFunction.from_minus_set(n, bits(minus))
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -272,120 +273,42 @@ def _lex_key(plus_mask: int, n: int):
     return tuple(plus_mask >> i & 1 for i in range(n))
 
 
-def _sdf_branch_and_bound(g: Graph, pinned: int):
-    """Two-stage search: find the optimum, then rebuild the lex-least witness.
-
-    Stage 1 branches on free vertices in descending-degree order, -1 before +1.
-    slack[v] is the largest value f(N[v]) can still reach (assigned values plus
-    one per unassigned vertex); a node dies when some slack drops below 1 or
-    when even turning every unforced free vertex to -1 cannot beat the
-    incumbent. Stage 2 repeats the search in ascending index order bounded to
-    the known optimum and keeps the first completion it reaches.
-    """
-    n = g.n
-    closed = g.closed
-    free = [v for v in range(n) if not (pinned >> v & 1)]
-    order = sorted(free, key=lambda v: (-g.deg[v], v))
-    slack = [g.deg[v] + 1 for v in range(n)]
-    best = {"weight": n}
-
-    def search(pos: int, minus_count: int):
-        if pos == len(order):
-            weight = n - 2 * minus_count
-            if weight < best["weight"]:
-                best["weight"] = weight
-            return
-        tight = mask_of(v for v in range(n) if slack[v] <= 2)
-        forced = sum(1 for i in range(pos, len(order)) if closed[order[i]] & tight)
-        r = len(order) - pos
-        partial = (n - r) - 2 * minus_count
-        if partial + 2 * forced - r >= best["weight"]:
-            return
-        v = order[pos]
-        if not (closed[v] & tight):
-            feasible = True
-            for u in bits(closed[v]):
-                slack[u] -= 2
-                if slack[u] < 1:
-                    feasible = False
-            if feasible:
-                search(pos + 1, minus_count + 1)
-            for u in bits(closed[v]):
-                slack[u] += 2
-        search(pos + 1, minus_count)
-
-    search(0, 0)
-    optimum = best["weight"]
-    if optimum == n:
-        return n, SignedFunction(tuple([1] * n))
-
-    lex_order = sorted(free)
-    witness = {}
-
-    def rebuild(pos: int, minus_count: int, minus_mask: int) -> bool:
-        r = len(lex_order) - pos
-        weight_now = (n - r) - 2 * minus_count
-        if weight_now + r < optimum:
-            return False
-        tight = mask_of(v for v in range(n) if slack[v] <= 2)
-        forced = sum(1 for i in range(pos, len(lex_order)) if closed[lex_order[i]] & tight)
-        if weight_now + 2 * forced - r > optimum:
-            return False
-        if pos == len(lex_order):
-            witness["minus"] = minus_mask
-            return True
-        v = lex_order[pos]
-        if not (closed[v] & tight):
-            feasible = True
-            for u in bits(closed[v]):
-                slack[u] -= 2
-                if slack[u] < 1:
-                    feasible = False
-            if feasible and rebuild(pos + 1, minus_count + 1, minus_mask | (1 << v)):
-                for u in bits(closed[v]):
-                    slack[u] += 2
-                return True
-            for u in bits(closed[v]):
-                slack[u] += 2
-        return rebuild(pos + 1, minus_count, minus_mask)
-
-    found = rebuild(0, 0, 0)
-    assert found, "optimum value has no witness; search inconsistency"
-    minus = witness["minus"]
-    assignment = tuple(-1 if minus >> v & 1 else 1 for v in range(n))
-    return optimum, SignedFunction(assignment)
-
-
 # -- subset solvers ------------------------------------------------------------
 
 
 def domination_number(g: Graph, cap: int = SUBSET_CAP):
-    """Minimum dominating set; isolated vertices are necessarily members."""
-    size, members = _min_tuple_dominating(g, 1, cap)
-    return size, VertexSet(frozenset(members), ROLE_DOMINATING)
+    """Minimum dominating set (gamma = gamma_x1); isolated vertices are members."""
+    size, vs = tuple_domination_number(g, 1, cap)
+    return size, VertexSet(vs.members, ROLE_DOMINATING)
 
 
 def tuple_domination_number(g: Graph, k: int, cap: int = SUBSET_CAP):
-    """Minimum k-tuple dominating set; requires 1 <= k <= delta + 1."""
+    """Minimum k-tuple dominating set; requires 1 <= k <= delta + 1.
+
+    D is k-tuple dominating iff its complement S has |N[v] & S| <= deg(v)+1-k
+    at every v, so D is the complement of a maximum packing with those caps.
+    """
     delta = min(g.deg) if g.n else 0
     if not 1 <= k <= delta + 1:
         raise ValueError(f"k must satisfy 1 <= k <= delta+1 = {delta + 1}, got {k}")
-    size, members = _min_tuple_dominating(g, k, cap)
-    return size, VertexSet(frozenset(members), ROLE_TUPLE_DOMINATING, k)
+    _check_subset_cap(g, cap)
+    size, s = _max_packing(g, [d + 1 - k for d in g.deg], include_first=False)
+    return g.n - size, VertexSet(frozenset(bits(g.full_mask & ~s)), ROLE_TUPLE_DOMINATING, k)
 
 
 def limited_packing_number(g: Graph, k: int, cap: int = SUBSET_CAP):
     """Maximum k-limited packing; requires k >= 1."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    size, members = _max_limited_packing(g, k, cap)
-    return size, VertexSet(frozenset(members), ROLE_LIMITED_PACKING, k)
+    _check_subset_cap(g, cap)
+    size, s = _max_packing(g, [k] * g.n)
+    return size, VertexSet(frozenset(bits(s)), ROLE_LIMITED_PACKING, k)
 
 
 def packing_number(g: Graph, cap: int = SUBSET_CAP):
     """Maximum packing (pairwise-disjoint closed neighborhoods); equals L_1."""
-    size, members = _max_limited_packing(g, 1, cap)
-    return size, VertexSet(frozenset(members), ROLE_PACKING)
+    size, vs = limited_packing_number(g, 1, cap)
+    return size, VertexSet(vs.members, ROLE_PACKING)
 
 
 def greedy_limited_packing_mask(g: Graph, k: int) -> int:
@@ -400,100 +323,60 @@ def greedy_limited_packing_mask(g: Graph, k: int) -> int:
     return mask
 
 
-def _min_tuple_dominating(g: Graph, k: int, cap: int):
-    n = g.n
-    if n > cap:
-        raise SizeCapError(f"subset solvers capped at n <= {cap}, got {n}")
-    if n == 0:
-        return 0, ()
+def _check_subset_cap(g: Graph, cap: int) -> None:
+    if g.n > cap:
+        raise SizeCapError(f"subset solvers capped at n <= {cap}, got {g.n}")
+
+
+def _max_packing(g: Graph, cap, include_first: bool = True):
+    """(|S|, S as a bitmask) for a largest S with |N[v] & S| <= cap[v] at every v.
+
+    Branches on vertices in ascending index order. ``avail`` holds the
+    undecided vertices whose closed neighborhood contains no full vertex (one
+    with |N[v] & S| = cap[v]); only those can still join S, so a node dies
+    when ``size + |avail|`` cannot beat the incumbent. Trying "in S" first,
+    the first optimum reached is the lexicographically least sorted set. With
+    ``include_first=False`` a second pass, bounded to that optimum, tries
+    "out of S" first and returns the optimum whose complement is
+    lexicographically least.
+    """
     closed = g.closed
-    Delta = max(g.deg)
+    nbhd = [tuple(bits(closed[v])) for v in range(g.n)]
+    load = [0] * g.n
+    start = g.full_mask
+    for v in range(g.n):
+        if cap[v] <= 0:
+            start &= ~closed[v]
+    best = -1
+    witness = 0
+    in_first = True
 
-    # Greedy upper seed: repeatedly add the vertex covering the most unmet demand.
-    cover = [0] * n
-    greedy_mask = 0
-    greedy_size = 0
-    while any(cover[v] < k for v in range(n)):
-        best_v, best_gain = -1, -1
-        for v in range(n):
-            if greedy_mask >> v & 1:
-                continue
-            gain = sum(1 for u in bits(closed[v]) if cover[u] < k)
-            if gain > best_gain:
-                best_v, best_gain = v, gain
-        greedy_mask |= 1 << best_v
-        greedy_size += 1
-        for u in bits(closed[best_v]):
-            cover[u] += 1
-
-    lower = max(k, -(-k * n // (Delta + 1)))
-    cover = [0] * n
-    chosen = []
-
-    def feasible(start: int, slots: int) -> bool:
-        rem = g.full_mask >> start << start
-        for v in range(n):
-            d = k - cover[v]
-            if d > 0 and (d > slots or (closed[v] & rem).bit_count() < d):
-                return False
-        return True
-
-    def dfs(start: int, slots: int) -> bool:
-        if slots == 0:
-            return all(cover[v] >= k for v in range(n))
-        if not feasible(start, slots):
+    def search(avail: int, size: int, members: int) -> bool:
+        # True stops the search: the bounded second pass keeps its first leaf.
+        nonlocal best, witness
+        if size + avail.bit_count() <= best:
             return False
-        for v in range(start, n - slots + 1):
-            chosen.append(v)
-            for u in bits(closed[v]):
-                cover[u] += 1
-            if dfs(v + 1, slots - 1):
-                return True
-            for u in bits(closed[v]):
-                cover[u] -= 1
-            chosen.pop()
-        return False
-
-    for size in range(lower, greedy_size + 1):
-        if dfs(0, size):
-            return size, tuple(chosen)
-    raise AssertionError("greedy seed was feasible; deepening must succeed")
-
-
-def _max_limited_packing(g: Graph, k: int, cap: int):
-    n = g.n
-    if n > cap:
-        raise SizeCapError(f"subset solvers capped at n <= {cap}, got {n}")
-    if n == 0:
-        return 0, ()
-    delta = min(g.deg)
-    Delta = max(g.deg)
-    if Delta + 1 <= k:
-        return n, tuple(range(n))
-
-    lower = greedy_limited_packing_mask(g, k).bit_count()
-    upper = min(n, k * n // (delta + 1))
-    load = [0] * n
-    chosen = []
-
-    def dfs(start: int, slots: int) -> bool:
-        if slots == 0:
+        if not avail:
+            best, witness = size, members
+            return not in_first
+        low = avail & -avail
+        if not in_first and search(avail ^ low, size, members):
             return True
-        if n - start < slots:
-            return False
-        for v in range(start, n - slots + 1):
-            if all(load[u] < k for u in bits(g.closed[v])):
-                chosen.append(v)
-                for u in bits(g.closed[v]):
-                    load[u] += 1
-                if dfs(v + 1, slots - 1):
-                    return True
-                for u in bits(g.closed[v]):
-                    load[u] -= 1
-                chosen.pop()
-        return False
+        nbrs = nbhd[low.bit_length() - 1]
+        blocked = low
+        for u in nbrs:
+            load[u] += 1
+            if load[u] == cap[u]:
+                blocked |= closed[u]
+        found = search(avail & ~blocked, size + 1, members | low)
+        for u in nbrs:
+            load[u] -= 1
+        return found or (in_first and search(avail ^ low, size, members))
 
-    for size in range(upper, lower - 1, -1):
-        if dfs(0, size):
-            return size, tuple(chosen)
-    raise AssertionError("greedy seed exists; descending scan must succeed")
+    search(start, 0, 0)
+    if not include_first:
+        in_first = False
+        best -= 1
+        if not search(start, 0, 0):
+            raise RuntimeError("optimum value has no witness; search inconsistency")
+    return best, witness

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -186,6 +187,16 @@ def test_failed_check_aborts(monkeypatch):
     monkeypatch.setattr(audit_mod, "audit_graph", lambda *a, **k: tampered)
     with pytest.raises(BoundViolation):
         audit_corpus(CorpusSpec(kind="cycle", n_min=6, n_max=6))
+
+
+def test_empty_core_with_minus_vertices_aborts():
+    # A witness with -1 vertices on a core-free graph is a solver bug; the guard
+    # must raise under ``python -O`` too.
+    g = cycle_graph(6)
+    report = audit_graph(g, "C6")
+    profile = dataclasses.replace(report.profile, delta_star=None)
+    with pytest.raises(BoundViolation, match="empty core"):
+        audit_mod._invariant_checks(g, profile, report)
 
 
 def test_hunt_complete_thm3_3():

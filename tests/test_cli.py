@@ -74,6 +74,16 @@ def test_solve_modes_and_sets(tmp_path, capsys):
     assert out.splitlines()[0] == "gamma 2"
 
 
+def test_solve_rejects_invalid_witness(tmp_path, capsys, monkeypatch):
+    c6 = tmp_path / "c6.el"
+    c6.write_text(serialize_graph(cycle_graph(6), "edgelist"))
+    monkeypatch.setattr(cli_mod, "signed_domination",
+                        lambda g, *a, **k: (-6, SignedFunction((-1,) * 6)))
+    code, out, err = run(capsys, "solve", "--param", "gamma_s", "--input", str(c6))
+    assert code == 1 and out == ""
+    assert "invalid at vertices [0, 1, 2, 3, 4, 5]" in err
+
+
 def test_solve_cap_error(tmp_path, capsys):
     big = tmp_path / "c21.el"
     big.write_text(serialize_graph(cycle_graph(21), "edgelist"))

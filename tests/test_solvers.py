@@ -234,11 +234,11 @@ def test_subset_solvers_match_brute_force():
         bg, bw = oracles.brute_min_tuple_dominating(g, 1)
         value, witness = domination_number(g)
         assert (value, witness.sorted_members()) == (bg, bw)
-        for k in (1, 2):
-            if k <= delta + 1:
-                bv, bs = oracles.brute_min_tuple_dominating(g, k)
-                value, witness = tuple_domination_number(g, k)
-                assert (value, witness.sorted_members()) == (bv, bs)
+        for k in range(1, delta + 2):
+            bv, bs = oracles.brute_min_tuple_dominating(g, k)
+            value, witness = tuple_domination_number(g, k)
+            assert (value, witness.sorted_members()) == (bv, bs)
+        for k in range(1, max(g.deg) // 2 + 2):
             bv, bs = oracles.brute_max_limited_packing(g, k)
             value, witness = limited_packing_number(g, k)
             assert (value, witness.sorted_members()) == (bv, bs)
