@@ -8,11 +8,13 @@ master seed and the graph index) and writes CSV/JSON reports; any bound
 violation or failed invariant check aborts loudly with a diagnostic dump,
 because a genuine violation would contradict a proved statement and therefore
 signals an implementation bug. ``hunt`` collects sharpness witnesses for one
-bound.
+bound from the same checked stream of reports.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -27,13 +29,13 @@ from .bounds import (
     ub_packing_min_degree,
 )
 from .codecs import serialize_graph
-from .generate import derive_seed, enumerate_labeled_trees, generate
+from .generate import TREE_ENUM_MAX_N, derive_seed, enumerate_labeled_trees, generate
 from .graphs import Graph, StructuralProfile, structural_profile
 from .solvers import (
+    BNB_CAP,
     ROLE_LIMITED_PACKING,
     ROLE_TUPLE_DOMINATING,
     SignedFunction,
-    SizeCapError,
     VertexSet,
     domination_number,
     limited_packing_number,
@@ -94,8 +96,7 @@ class CorpusSpec:
     count: int = 1
     p: float = 0.5
     seed: int = 0
-    bnb_cap: int = 40
-    subset_cap: int = 40
+    bnb_cap: int = BNB_CAP
 
     def __post_init__(self):
         if self.kind not in CORPUS_KINDS:
@@ -104,8 +105,10 @@ class CorpusSpec:
             raise ValueError("count must be >= 1")
         if self.n_min > self.n_max:
             raise ValueError("n_min must not exceed n_max")
-        if self.n_max > self.bnb_cap or self.n_max > self.subset_cap:
-            raise ValueError(f"n_max {self.n_max} exceeds solver caps")
+        if self.n_max > self.bnb_cap:
+            raise ValueError(f"n_max {self.n_max} exceeds the solver caps (n <= {self.bnb_cap})")
+        if self.kind == "trees_exhaustive" and self.n_max > TREE_ENUM_MAX_N:
+            raise ValueError(f"trees_exhaustive needs n_max <= {TREE_ENUM_MAX_N}, got {self.n_max}")
 
 
 @dataclass
@@ -247,28 +250,26 @@ CSV_HEADER = ",".join(
 def audit_graph(
     g: Graph,
     graph_id: str | None = None,
-    bnb_cap: int = 40,
-    subset_cap: int = 40,
+    bnb_cap: int = BNB_CAP,
 ) -> BoundReport:
     """Compute exact values, evaluate all bounds, and run the invariant checks.
 
     Disconnected graphs get a report with every bound marked not applicable
     and the invariant checks skipped. Output is deterministic per graph.
+    Graphs with n > ``bnb_cap`` raise SizeCapError from the solvers.
     """
-    if g.n > bnb_cap or g.n > subset_cap:
-        raise SizeCapError(f"graph has n={g.n}, beyond solver caps ({bnb_cap}/{subset_cap})")
     profile = structural_profile(g)
     g6 = serialize_graph(g, "graph6") if g.n <= 62 else ""
     if graph_id is None:
         graph_id = g6
 
     gamma_s, witness = signed_domination(g, "branch_and_bound", bnb_cap=bnb_cap)
-    gamma, _ = domination_number(g, cap=subset_cap)
-    rho, _ = packing_number(g, cap=subset_cap)
+    gamma, _ = domination_number(g, cap=bnb_cap)
+    rho, _ = packing_number(g, cap=bnb_cap)
     lp_k = profile.delta // 2 if profile.delta >= 2 else None
-    lp_value = None if lp_k is None else limited_packing_number(g, lp_k, cap=subset_cap)[0]
+    lp_value = None if lp_k is None else limited_packing_number(g, lp_k, cap=bnb_cap)[0]
     tuple_k = (profile.delta + 1) // 2 + 1
-    tuple_value, _ = tuple_domination_number(g, tuple_k, cap=subset_cap)
+    tuple_value, _ = tuple_domination_number(g, tuple_k, cap=bnb_cap)
 
     report = BoundReport(
         graph_id=graph_id,
@@ -394,7 +395,6 @@ def iter_corpus(spec: CorpusSpec):
         for n in range(max(2, spec.n_min), spec.n_max + 1):
             for i, g in enumerate(enumerate_labeled_trees(n)):
                 yield f"tree-n{n}-{i:07d}", g
-                index += 1
         return
     for n in range(spec.n_min, spec.n_max + 1):
         if spec.kind in ("complete", "path", "cycle", "star"):
@@ -410,12 +410,34 @@ def iter_corpus(spec: CorpusSpec):
             index += 1
 
 
-def _audit_item(item, bnb_cap: int, subset_cap: int):
+def _audit_item(item, cap: int) -> BoundReport:
     graph_id, g = item
-    try:
-        return audit_graph(g, graph_id, bnb_cap=bnb_cap, subset_cap=subset_cap), None
-    except SizeCapError as exc:
-        return None, (graph_id, str(exc))
+    return audit_graph(g, graph_id, bnb_cap=cap)
+
+
+def _checked_reports(spec: CorpusSpec, jobs: int = 1):
+    """Yield the BoundReport of every corpus graph in graph-index order.
+
+    Raises BoundViolation on the first unsatisfied applicable bound or failed
+    invariant check. The check runs here, in the calling process, because a
+    BoundViolation does not pickle back from a pool worker.
+    """
+    items = iter_corpus(spec)
+    caps = itertools.repeat(spec.bnb_cap)
+    with contextlib.ExitStack() as stack:
+        if jobs > 1:
+            # Imported only here, so serial sweeps never load the pool machinery.
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            reports = pool.map(_audit_item, items, caps, chunksize=64)
+        else:
+            reports = map(_audit_item, items, caps)
+        for report in reports:
+            problems = report.violations()
+            if problems:
+                raise BoundViolation("; ".join(problems), report.graph6, report)
+            yield report
 
 
 def audit_corpus(
@@ -427,27 +449,20 @@ def audit_corpus(
     """Audit every corpus graph; write reports; return the summary.
 
     Aborts with BoundViolation (including a diagnostic dump) on the first
-    unsatisfied applicable bound or failed invariant check. Graphs beyond the
-    solver caps are recorded as skips. Identical (spec, seed) inputs produce
-    byte-identical CSV and JSON outputs.
+    unsatisfied applicable bound or failed invariant check. CorpusSpec rejects
+    sizes beyond the solver cap up front, so the summary's ``skips`` list is
+    always empty; it stays for the report schema. Identical (spec, seed)
+    inputs produce byte-identical CSV and JSON outputs.
     """
     csv_lines = [CSV_HEADER]
     json_reports = []
-    skips = []
     total = 0
     sharp_hist = {name: 0 for name in BOUND_ORDER}
     gap_sum = {name: 0 for name in BOUND_ORDER}
     gap_max = {name: 0 for name in BOUND_ORDER}
     gap_count = {name: 0 for name in BOUND_ORDER}
 
-    def consume(report, skip):
-        nonlocal total
-        if skip is not None:
-            skips.append(skip)
-            return
-        problems = report.violations()
-        if problems:
-            raise BoundViolation("; ".join(problems), report.graph6, report)
+    for report in _checked_reports(spec, jobs):
         total += 1
         for b, _, gap in report.bounds:
             if b.applicable:
@@ -461,25 +476,10 @@ def audit_corpus(
         if json_path is not None:
             json_reports.append(report.to_json_dict())
 
-    if jobs > 1:
-        # Imported only here, so serial sweeps never load the pool machinery.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for report, skip in pool.map(
-                _audit_item_star,
-                ((item, spec.bnb_cap, spec.subset_cap) for item in iter_corpus(spec)),
-                chunksize=64,
-            ):
-                consume(report, skip)
-    else:
-        for item in iter_corpus(spec):
-            consume(*_audit_item(item, spec.bnb_cap, spec.subset_cap))
-
     summary = {
         "graphs": total,
         "violations": 0,
-        "skips": [list(s) for s in skips],
+        "skips": [],
         "sharp_histogram": sharp_hist,
         "max_gap": gap_max,
         "mean_gap": {
@@ -497,10 +497,6 @@ def audit_corpus(
     return summary
 
 
-def _audit_item_star(args):
-    return _audit_item(*args)
-
-
 def hunt(spec: CorpusSpec, target: str) -> list:
     """graph6 strings of corpus graphs where ``target`` meets the exact value.
 
@@ -508,16 +504,5 @@ def hunt(spec: CorpusSpec, target: str) -> list:
     """
     if target not in BOUND_ORDER:
         raise ValueError(f"unknown bound name {target!r}; expected one of {BOUND_ORDER}")
-    witnesses = []
-    for item in iter_corpus(spec):
-        report, skip = _audit_item(item, spec.bnb_cap, spec.subset_cap)
-        if skip is not None:
-            continue
-        problems = report.violations()
-        if problems:
-            raise BoundViolation("; ".join(problems), report.graph6, report)
-        b, _, gap = report.bound(target)
-        if b.applicable and gap == 0:
-            witnesses.append((report.n, report.graph6))
-    witnesses.sort()
+    witnesses = sorted((r.n, r.graph6) for r in _checked_reports(spec) if target in r.sharp)
     return [g6 for _, g6 in witnesses]

@@ -10,11 +10,13 @@ import argparse
 import json
 import sys
 
-from .audit import BoundViolation, CorpusSpec, audit_corpus, audit_graph, hunt
+from .audit import CORPUS_KINDS, BoundViolation, CorpusSpec, audit_corpus, audit_graph, hunt
 from .bounds import BOUND_ORDER
-from .codecs import detect_format, parse_graph, serialize_graph
-from .generate import generate
+from .codecs import FORMATS, detect_format, parse_graph, serialize_graph
+from .generate import KINDS as GENERATOR_KINDS, generate
 from .solvers import (
+    BNB_CAP,
+    ORACLE_CAP,
     domination_number,
     limited_packing_number,
     packing_number,
@@ -23,15 +25,7 @@ from .solvers import (
     verify_sdf,
 )
 
-_CORPUS_CHOICES = (
-    "complete",
-    "path",
-    "cycle",
-    "star",
-    "random-tree",
-    "random-connected",
-    "trees-exhaustive",
-)
+_CORPUS_CHOICES = tuple(k.replace("_", "-") for k in CORPUS_KINDS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,21 +40,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", parents=[], help="generate a graph")
-    gen.add_argument("--kind", required=True,
-                     choices=("complete", "path", "cycle", "star", "spider",
-                              "random_tree", "random_connected"))
+    gen.add_argument("--kind", required=True, choices=GENERATOR_KINDS)
     gen.add_argument("--n", type=int)
     gen.add_argument("--p", type=float, default=0.5)
     gen.add_argument("--legs", type=int)
     gen.add_argument("--leg-len", type=int)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--format", choices=("edgelist", "graph6"), default="edgelist")
+    gen.add_argument("--format", choices=FORMATS, default="edgelist")
     gen.add_argument("--out", default="-")
     gen.set_defaults(func=_cmd_gen)
 
     conv = sub.add_parser("convert", help="re-encode a graph (input format auto-detected)")
     conv.add_argument("--input", required=True)
-    conv.add_argument("--format", choices=("edgelist", "graph6"), required=True)
+    conv.add_argument("--format", choices=FORMATS, required=True)
     conv.add_argument("--out", default="-")
     conv.set_defaults(func=_cmd_convert)
 
@@ -70,14 +62,14 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--k", type=int, default=1, help="k for tuple/limited_packing")
     solve.add_argument("--input", required=True)
     solve.add_argument("--mode", choices=("oracle", "bnb"), default="bnb")
-    solve.add_argument("--cap-oracle", type=int, default=20)
-    solve.add_argument("--cap-bnb", type=int, default=40)
+    solve.add_argument("--cap-oracle", type=int, default=ORACLE_CAP)
+    solve.add_argument("--cap-bnb", type=int, default=BNB_CAP)
     solve.add_argument("--json", action="store_true")
     solve.set_defaults(func=_cmd_solve)
 
     bnd = sub.add_parser("bounds", help="print every bound record for one graph")
     bnd.add_argument("--input", required=True)
-    bnd.add_argument("--cap-bnb", type=int, default=40)
+    bnd.add_argument("--cap-bnb", type=int, default=BNB_CAP)
     bnd.add_argument("--json", action="store_true")
     bnd.set_defaults(func=_cmd_bounds)
 
@@ -103,7 +95,7 @@ def _corpus_flags(p):
     p.add_argument("--count", type=int, default=1, help="samples per size (random corpora)")
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap-bnb", type=int, default=40)
+    p.add_argument("--cap-bnb", type=int, default=BNB_CAP)
 
 
 def main(argv=None) -> int:
@@ -170,8 +162,7 @@ def _cmd_convert(args) -> int:
 def _cmd_solve(args) -> int:
     g = _load_graph(args.input)
     if args.param == "gamma_s":
-        mode = "oracle" if args.mode == "oracle" else "branch_and_bound"
-        value, f = signed_domination(g, mode, oracle_cap=args.cap_oracle, bnb_cap=args.cap_bnb)
+        value, f = signed_domination(g, args.mode, oracle_cap=args.cap_oracle, bnb_cap=args.cap_bnb)
         bad = verify_sdf(g, f)
         if bad:
             print(f"error: witness {f} is invalid at vertices {bad}", file=sys.stderr)
@@ -197,7 +188,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bounds(args) -> int:
     g = _load_graph(args.input)
-    report = audit_graph(g, bnb_cap=args.cap_bnb, subset_cap=args.cap_bnb)
+    report = audit_graph(g, bnb_cap=args.cap_bnb)
     if args.json:
         print(json.dumps(report.to_json_dict(), indent=2))
         return 0
@@ -223,7 +214,6 @@ def _corpus_spec(args) -> CorpusSpec:
         p=args.p,
         seed=args.seed,
         bnb_cap=args.cap_bnb,
-        subset_cap=args.cap_bnb,
     )
 
 

@@ -14,9 +14,10 @@ import random
 from .graphs import Graph
 
 KINDS = ("complete", "path", "cycle", "star", "spider", "random_tree", "random_connected")
+# Largest n that enumerate_labeled_trees accepts: 9^7 ~ 4.8 M trees at n = 9.
+TREE_ENUM_MAX_N = 9
 
 _MASK64 = (1 << 64) - 1
-_TREE_ENUM_MAX_N = 9
 _DEFAULT_RETRY_CAP = 1000
 
 
@@ -133,7 +134,7 @@ def generate(kind: str, params: dict, seed: int = 0) -> Graph:
 
 def enumerate_labeled_trees(n: int):
     """Yield all n^(n-2) labeled trees, one per Pruefer sequence, in sequence order."""
-    _require(2 <= n <= _TREE_ENUM_MAX_N, f"tree enumeration supports 2 <= n <= {_TREE_ENUM_MAX_N}, got {n}")
+    _require(2 <= n <= TREE_ENUM_MAX_N, f"tree enumeration supports 2 <= n <= {TREE_ENUM_MAX_N}, got {n}")
     if n == 2:
         yield Graph(2, [(0, 1)])
         return

@@ -21,7 +21,6 @@ from .graphs import Graph, bits, mask_of
 
 ORACLE_CAP = 20
 BNB_CAP = 40
-SUBSET_CAP = 40
 
 ROLE_DOMINATING = "dominating"
 ROLE_TUPLE_DOMINATING = "tuple_dominating"
@@ -276,13 +275,13 @@ def _lex_key(plus_mask: int, n: int):
 # -- subset solvers ------------------------------------------------------------
 
 
-def domination_number(g: Graph, cap: int = SUBSET_CAP):
+def domination_number(g: Graph, cap: int = BNB_CAP):
     """Minimum dominating set (gamma = gamma_x1); isolated vertices are members."""
     size, vs = tuple_domination_number(g, 1, cap)
     return size, VertexSet(vs.members, ROLE_DOMINATING)
 
 
-def tuple_domination_number(g: Graph, k: int, cap: int = SUBSET_CAP):
+def tuple_domination_number(g: Graph, k: int, cap: int = BNB_CAP):
     """Minimum k-tuple dominating set; requires 1 <= k <= delta + 1.
 
     D is k-tuple dominating iff its complement S has |N[v] & S| <= deg(v)+1-k
@@ -291,21 +290,21 @@ def tuple_domination_number(g: Graph, k: int, cap: int = SUBSET_CAP):
     delta = min(g.deg) if g.n else 0
     if not 1 <= k <= delta + 1:
         raise ValueError(f"k must satisfy 1 <= k <= delta+1 = {delta + 1}, got {k}")
-    _check_subset_cap(g, cap)
+    _check_size_cap(g, cap)
     size, s = _max_packing(g, [d + 1 - k for d in g.deg], include_first=False)
     return g.n - size, VertexSet(frozenset(bits(g.full_mask & ~s)), ROLE_TUPLE_DOMINATING, k)
 
 
-def limited_packing_number(g: Graph, k: int, cap: int = SUBSET_CAP):
+def limited_packing_number(g: Graph, k: int, cap: int = BNB_CAP):
     """Maximum k-limited packing; requires k >= 1."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    _check_subset_cap(g, cap)
+    _check_size_cap(g, cap)
     size, s = _max_packing(g, [k] * g.n)
     return size, VertexSet(frozenset(bits(s)), ROLE_LIMITED_PACKING, k)
 
 
-def packing_number(g: Graph, cap: int = SUBSET_CAP):
+def packing_number(g: Graph, cap: int = BNB_CAP):
     """Maximum packing (pairwise-disjoint closed neighborhoods); equals L_1."""
     size, vs = limited_packing_number(g, 1, cap)
     return size, VertexSet(vs.members, ROLE_PACKING)
@@ -323,7 +322,7 @@ def greedy_limited_packing_mask(g: Graph, k: int) -> int:
     return mask
 
 
-def _check_subset_cap(g: Graph, cap: int) -> None:
+def _check_size_cap(g: Graph, cap: int) -> None:
     if g.n > cap:
         raise SizeCapError(f"subset solvers capped at n <= {cap}, got {g.n}")
 

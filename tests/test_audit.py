@@ -18,6 +18,7 @@ from signeddom import (
     parse_graph,
     path_graph,
     serialize_graph,
+    star_graph,
     verify_sdf,
 )
 from signeddom.audit import CSV_HEADER
@@ -68,6 +69,9 @@ def test_audit_disconnected_marks_na():
 def test_audit_cap():
     with pytest.raises(SizeCapError):
         audit_graph(cycle_graph(12), bnb_cap=10)
+    # A star's gamma_s skips the search, so the subset solvers enforce the cap.
+    with pytest.raises(SizeCapError):
+        audit_graph(star_graph(12), bnb_cap=10)
 
 
 def test_audit_witness_reverifies():
@@ -148,12 +152,20 @@ def test_audit_corpus_json_schema(tmp_path):
     assert rep["checks"]["eq1"] == "na"
 
 
-def test_oversize_graph_becomes_skip():
-    # CorpusSpec itself bounds n_max by the caps, so this guard is exercised
-    # directly: a too-large graph is recorded as a skip, not an exception.
-    report, skip = audit_mod._audit_item(("big", path_graph(45)), 40, 40)
-    assert report is None
-    assert skip[0] == "big" and "caps" in skip[1]
+def test_corpus_spec_rejects_sizes_beyond_the_cap():
+    # This guard is why a sweep never meets a graph its solvers would refuse.
+    with pytest.raises(ValueError, match="caps"):
+        CorpusSpec(kind="path", n_min=3, n_max=41)
+    with pytest.raises(ValueError, match="caps"):
+        CorpusSpec(kind="random_connected", n_min=5, n_max=12, bnb_cap=10)
+    CorpusSpec(kind="path", n_min=3, n_max=40)
+
+
+def test_trees_exhaustive_spec_rejects_n_max_beyond_enumeration():
+    # Rejected up front, not after the 4.8 M trees of n = 9 have been audited.
+    with pytest.raises(ValueError, match="trees_exhaustive"):
+        CorpusSpec(kind="trees_exhaustive", n_min=2, n_max=10)
+    CorpusSpec(kind="trees_exhaustive", n_min=2, n_max=9)
 
 
 def test_trees_exhaustive_corpus_count():
@@ -180,13 +192,15 @@ def test_violation_aborts_with_dump(monkeypatch):
         hunt(spec, "thm3_3")
 
 
-def test_failed_check_aborts(monkeypatch):
+@pytest.mark.parametrize("jobs", (1, 2))
+def test_failed_check_aborts(monkeypatch, jobs):
     tampered = audit_graph(cycle_graph(6), "C6")
     tampered.checks["eq1"] = False
     assert tampered.violations() == ["invariant check eq1 failed"]
+    # Pool workers are forked after the patch, so they return the tampered report.
     monkeypatch.setattr(audit_mod, "audit_graph", lambda *a, **k: tampered)
     with pytest.raises(BoundViolation):
-        audit_corpus(CorpusSpec(kind="cycle", n_min=6, n_max=6))
+        audit_corpus(CorpusSpec(kind="cycle", n_min=6, n_max=6), jobs=jobs)
 
 
 def test_empty_core_with_minus_vertices_aborts():
