@@ -78,6 +78,10 @@ class BoundViolation(RuntimeError):
         self.graph6 = graph6
         self.report = report
 
+    def __reduce__(self):
+        # Rebuilt from all three fields, so it survives the trip back from a pool worker.
+        return type(self), (str(self), self.graph6, self.report)
+
     def dump(self) -> str:
         return (
             f"VIOLATION: {self}\n"
@@ -257,6 +261,10 @@ def audit_graph(
     Disconnected graphs get a report with every bound marked not applicable
     and the invariant checks skipped. Output is deterministic per graph.
     Graphs with n > ``bnb_cap`` raise SizeCapError from the solvers.
+
+    The report carries values only, so the domination-side solvers skip their
+    lexicographically-least pass; every subset value is still re-checked
+    against the set found for it (see ``_certify_sets``).
     """
     profile = structural_profile(g)
     g6 = serialize_graph(g, "graph6") if g.n <= 62 else ""
@@ -264,12 +272,14 @@ def audit_graph(
         graph_id = g6
 
     gamma_s, witness = signed_domination(g, "branch_and_bound", bnb_cap=bnb_cap)
-    gamma, _ = domination_number(g, cap=bnb_cap)
-    rho, _ = packing_number(g, cap=bnb_cap)
+    gamma, gamma_set = domination_number(g, cap=bnb_cap, lex_least=False)
+    rho, rho_set = packing_number(g, cap=bnb_cap)
     lp_k = profile.delta // 2 if profile.delta >= 2 else None
-    lp_value = None if lp_k is None else limited_packing_number(g, lp_k, cap=bnb_cap)[0]
+    lp_value, lp_set = None, None
+    if lp_k is not None:
+        lp_value, lp_set = limited_packing_number(g, lp_k, cap=bnb_cap)
     tuple_k = (profile.delta + 1) // 2 + 1
-    tuple_value, _ = tuple_domination_number(g, tuple_k, cap=bnb_cap)
+    tuple_value, tuple_set = tuple_domination_number(g, tuple_k, cap=bnb_cap, lex_least=False)
 
     report = BoundReport(
         graph_id=graph_id,
@@ -285,6 +295,12 @@ def audit_graph(
         limited_packing_value=lp_value,
         tuple_k=tuple_k,
         tuple_value=tuple_value,
+    )
+    _certify_sets(
+        g,
+        report,
+        (("gamma", gamma, gamma_set), ("rho", rho, rho_set),
+         ("L_k", lp_value, lp_set), ("gamma_xk", tuple_value, tuple_set)),
     )
 
     if not profile.is_connected:
@@ -317,6 +333,20 @@ def audit_graph(
 
     report.checks = _invariant_checks(g, profile, report)
     return report
+
+
+def _certify_sets(g: Graph, report: BoundReport, certified) -> None:
+    """Raise BoundViolation unless each (name, value, set) has a valid set of that size."""
+    for name, value, vs in certified:
+        if vs is None:
+            continue
+        bad = vertex_set_violations(g, vs)
+        if bad or vs.size != value:
+            raise BoundViolation(
+                f"{name} = {value} has a certificate of size {vs.size} invalid at vertices {bad}",
+                report.graph6,
+                report,
+            )
 
 
 def _invariant_checks(g: Graph, profile: StructuralProfile, report: BoundReport) -> dict:
@@ -378,7 +408,7 @@ def _check_limited_packing_chain(g: Graph, profile: StructuralProfile) -> bool:
 def _check_tuple_chain(g: Graph, profile: StructuralProfile) -> bool:
     prev = None
     for k in range(1, profile.delta + 2):
-        value, _ = tuple_domination_number(g, k)
+        value, _ = tuple_domination_number(g, k, lex_least=False)
         if prev is not None and value < prev + 1:
             return False
         prev = value
@@ -419,9 +449,11 @@ def _checked_reports(spec: CorpusSpec, jobs: int = 1):
     """Yield the BoundReport of every corpus graph in graph-index order.
 
     Raises BoundViolation on the first unsatisfied applicable bound or failed
-    invariant check. The check runs here, in the calling process, because a
-    BoundViolation does not pickle back from a pool worker.
+    invariant check, and ValueError when ``jobs < 1``. With ``jobs > 1`` the
+    graphs are audited in a pool of that many processes; output is the same.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     items = iter_corpus(spec)
     caps = itertools.repeat(spec.bnb_cap)
     with contextlib.ExitStack() as stack:
@@ -429,7 +461,9 @@ def _checked_reports(spec: CorpusSpec, jobs: int = 1):
             # Imported only here, so serial sweeps never load the pool machinery.
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            pool = ProcessPoolExecutor(max_workers=jobs)
+            # map() submits the whole corpus; an early exit drops the graphs not started.
+            stack.callback(pool.shutdown, cancel_futures=True)
             reports = pool.map(_audit_item, items, caps, chunksize=64)
         else:
             reports = map(_audit_item, items, caps)
@@ -497,12 +531,13 @@ def audit_corpus(
     return summary
 
 
-def hunt(spec: CorpusSpec, target: str) -> list:
+def hunt(spec: CorpusSpec, target: str, jobs: int = 1) -> list:
     """graph6 strings of corpus graphs where ``target`` meets the exact value.
 
     Sorted by (n, graph6). Any violation along the way aborts with a dump.
+    ``jobs > 1`` audits in that many worker processes; the result is the same.
     """
     if target not in BOUND_ORDER:
         raise ValueError(f"unknown bound name {target!r}; expected one of {BOUND_ORDER}")
-    witnesses = sorted((r.n, r.graph6) for r in _checked_reports(spec) if target in r.sharp)
+    witnesses = sorted((r.n, r.graph6) for r in _checked_reports(spec, jobs) if target in r.sharp)
     return [g6 for _, g6 in witnesses]

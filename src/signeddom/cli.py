@@ -77,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     _corpus_flags(audit_p)
     audit_p.add_argument("--out", help="CSV report path")
     audit_p.add_argument("--json-out", help="JSON report path")
-    audit_p.add_argument("--jobs", type=int, default=1)
     audit_p.set_defaults(func=_cmd_audit)
 
     hunt_p = sub.add_parser("hunt", help="collect sharpness witnesses for one bound")
@@ -96,6 +95,7 @@ def _corpus_flags(p):
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cap-bnb", type=int, default=BNB_CAP)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (output is the same)")
 
 
 def main(argv=None) -> int:
@@ -226,7 +226,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_hunt(args) -> int:
-    for g6 in hunt(_corpus_spec(args), args.target):
+    for g6 in hunt(_corpus_spec(args), args.target, jobs=args.jobs):
         print(g6)
     return 0
 

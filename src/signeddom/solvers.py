@@ -275,23 +275,29 @@ def _lex_key(plus_mask: int, n: int):
 # -- subset solvers ------------------------------------------------------------
 
 
-def domination_number(g: Graph, cap: int = BNB_CAP):
-    """Minimum dominating set (gamma = gamma_x1); isolated vertices are members."""
-    size, vs = tuple_domination_number(g, 1, cap)
+def domination_number(g: Graph, cap: int = BNB_CAP, lex_least: bool = True):
+    """Minimum dominating set (gamma = gamma_x1); isolated vertices are members.
+
+    ``lex_least`` is passed to ``tuple_domination_number``.
+    """
+    size, vs = tuple_domination_number(g, 1, cap, lex_least)
     return size, VertexSet(vs.members, ROLE_DOMINATING)
 
 
-def tuple_domination_number(g: Graph, k: int, cap: int = BNB_CAP):
+def tuple_domination_number(g: Graph, k: int, cap: int = BNB_CAP, lex_least: bool = True):
     """Minimum k-tuple dominating set; requires 1 <= k <= delta + 1.
 
     D is k-tuple dominating iff its complement S has |N[v] & S| <= deg(v)+1-k
     at every v, so D is the complement of a maximum packing with those caps.
+    The set returned is the lexicographically least minimum D. With
+    ``lex_least=False`` it is the complement of the kernel's first optimum
+    instead: just as minimum and valid, but found without the second pass.
     """
     delta = min(g.deg) if g.n else 0
     if not 1 <= k <= delta + 1:
         raise ValueError(f"k must satisfy 1 <= k <= delta+1 = {delta + 1}, got {k}")
     _check_size_cap(g, cap)
-    size, s = _max_packing(g, [d + 1 - k for d in g.deg], include_first=False)
+    size, s = _max_packing(g, [d + 1 - k for d in g.deg], least_complement=lex_least)
     return g.n - size, VertexSet(frozenset(bits(g.full_mask & ~s)), ROLE_TUPLE_DOMINATING, k)
 
 
@@ -327,7 +333,7 @@ def _check_size_cap(g: Graph, cap: int) -> None:
         raise SizeCapError(f"subset solvers capped at n <= {cap}, got {g.n}")
 
 
-def _max_packing(g: Graph, cap, include_first: bool = True):
+def _max_packing(g: Graph, cap, least_complement: bool = False):
     """(|S|, S as a bitmask) for a largest S with |N[v] & S| <= cap[v] at every v.
 
     Branches on vertices in ascending index order. ``avail`` holds the
@@ -335,7 +341,7 @@ def _max_packing(g: Graph, cap, include_first: bool = True):
     with |N[v] & S| = cap[v]); only those can still join S, so a node dies
     when ``size + |avail|`` cannot beat the incumbent. Trying "in S" first,
     the first optimum reached is the lexicographically least sorted set. With
-    ``include_first=False`` a second pass, bounded to that optimum, tries
+    ``least_complement=True`` a second pass, bounded to that optimum, tries
     "out of S" first and returns the optimum whose complement is
     lexicographically least.
     """
@@ -373,7 +379,7 @@ def _max_packing(g: Graph, cap, include_first: bool = True):
         return found or (in_first and search(avail ^ low, size, members))
 
     search(start, 0, 0)
-    if not include_first:
+    if least_complement:
         in_first = False
         best -= 1
         if not search(start, 0, 0):

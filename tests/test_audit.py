@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import time
 
 import pytest
 
@@ -22,6 +24,7 @@ from signeddom import (
     verify_sdf,
 )
 from signeddom.audit import CSV_HEADER
+from signeddom.solvers import VertexSet
 
 
 def test_audit_k6_sharp_everywhere():
@@ -201,6 +204,78 @@ def test_failed_check_aborts(monkeypatch, jobs):
     monkeypatch.setattr(audit_mod, "audit_graph", lambda *a, **k: tampered)
     with pytest.raises(BoundViolation):
         audit_corpus(CorpusSpec(kind="cycle", n_min=6, n_max=6), jobs=jobs)
+
+
+SUBSET_SOLVERS = ("domination_number", "packing_number", "limited_packing_number",
+                  "tuple_domination_number")
+
+
+def _tamper_sets(monkeypatch, name, members):
+    """Make the audit's ``name`` solver return its value with the set ``members(value)``."""
+    real = getattr(audit_mod, name)
+
+    def tampered(*args, **kwargs):
+        value, vs = real(*args, **kwargs)
+        return value, VertexSet(frozenset(members(value)), vs.role, vs.k)
+
+    monkeypatch.setattr(audit_mod, name, tampered)
+
+
+@pytest.mark.parametrize("name", SUBSET_SOLVERS)
+def test_invalid_subset_certificate_aborts(monkeypatch, name):
+    # On C6 the first ``value`` vertices are no valid set for any of the four
+    # roles: gamma = 2, rho = L_1 = 2, gamma_x2 = 4.
+    _tamper_sets(monkeypatch, name, range)
+    with pytest.raises(BoundViolation, match="invalid at vertices"):
+        audit_graph(cycle_graph(6), "C6")
+
+
+def test_subset_certificate_of_wrong_size_aborts(monkeypatch):
+    # All of V dominates, but it is not a set of size gamma.
+    _tamper_sets(monkeypatch, "domination_number", lambda value: range(6))
+    with pytest.raises(BoundViolation, match="gamma = 2 has a certificate of size 6"):
+        audit_graph(cycle_graph(6), "C6")
+
+
+def test_invalid_subset_certificate_aborts_in_a_pool(monkeypatch):
+    # The BoundViolation raised in a worker arrives whole; workers fork after the patch.
+    _tamper_sets(monkeypatch, "tuple_domination_number", range)
+    with pytest.raises(BoundViolation) as info:
+        audit_corpus(CorpusSpec(kind="cycle", n_min=6, n_max=6), jobs=2)
+    assert info.value.graph6 == serialize_graph(cycle_graph(6), "graph6")
+    assert "gamma_xk" in info.value.dump()
+
+
+def test_pool_abort_drops_the_graphs_not_started(monkeypatch, tmp_path):
+    # A violation on the first of the 18,248 trees with n <= 7 must not wait
+    # for the pool to audit the rest of the corpus. Each audit also sleeps, so
+    # the workers cannot outrun the parent's submission of the whole corpus.
+    log = tmp_path / "audited"
+    real = audit_mod.audit_graph
+
+    def planted(g, graph_id=None, **kwargs):
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        os.write(fd, b".")
+        os.close(fd)
+        time.sleep(0.001)
+        report = real(g, graph_id, **kwargs)
+        if graph_id == "tree-n2-0000000":
+            report.checks["eq1"] = False
+        return report
+
+    monkeypatch.setattr(audit_mod, "audit_graph", planted)
+    with pytest.raises(BoundViolation):
+        audit_corpus(CorpusSpec(kind="trees_exhaustive", n_min=2, n_max=7), jobs=2)
+    assert log.stat().st_size < 18248 // 2
+
+
+def test_jobs_below_one_are_rejected():
+    spec = CorpusSpec(kind="cycle", n_min=3, n_max=4)
+    for jobs in (0, -3):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            audit_corpus(spec, jobs=jobs)
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            hunt(spec, "thm3_3", jobs=jobs)
 
 
 def test_empty_core_with_minus_vertices_aborts():

@@ -161,6 +161,23 @@ def test_hunt_command(capsys):
     assert out.split() == ["Bw", "C~", "D~{", "E~~w"]
 
 
+def test_hunt_jobs_matches_serial(capsys):
+    argv = ("hunt", "--corpus", "trees-exhaustive", "--n-max", "6", "--target", "thm3_4_tree")
+    code, serial, _ = run(capsys, *argv)
+    assert code == 0 and serial
+    assert run(capsys, *argv, "--jobs", "2") == (0, serial, "")
+
+
+def test_jobs_below_one_exit_1(capsys):
+    for command in ("audit", "hunt"):
+        argv = [command, "--corpus", "cycle", "--n-min", "3", "--n-max", "4", "--jobs", "0"]
+        if command == "hunt":
+            argv += ["--target", "thm3_3"]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: jobs must be >= 1, got 0\n"
+
+
 def test_usage_errors_exit_1(capsys):
     assert run(capsys, "frobnicate")[0] == 1
     assert run(capsys, "solve", "--param", "nope", "--input", "x")[0] == 1

@@ -248,6 +248,30 @@ def test_subset_solvers_match_brute_force():
         assert value == limited_packing_number(g, 1)[0]
 
 
+def test_value_only_domination_keeps_values():
+    # lex_least=False skips the second pass: same value, and a valid minimum set.
+    for g in _small_corpus():
+        delta = min(g.deg) if g.n else 0
+        for k in range(1, delta + 2):
+            value, lex = tuple_domination_number(g, k)
+            fast_value, fast = tuple_domination_number(g, k, lex_least=False)
+            assert fast_value == value == fast.size
+            assert fast.k == k and vertex_set_violations(g, fast) == []
+            assert lex.sorted_members() <= fast.sorted_members()
+        value, _ = domination_number(g)
+        fast_value, fast = domination_number(g, lex_least=False)
+        assert fast_value == value == fast.size
+        assert fast.role == "dominating" and vertex_set_violations(g, fast) == []
+
+
+def test_value_only_set_is_the_complement_of_the_least_packing():
+    # P4 has minimum dominating sets {0, 2}, {0, 3}, {1, 2}, {1, 3}: the first
+    # pass keeps the least S = {0, 2} and so returns D = {1, 3}.
+    g = path_graph(4)
+    assert domination_number(g)[1].sorted_members() == (0, 2)
+    assert domination_number(g, lex_least=False)[1].sorted_members() == (1, 3)
+
+
 def test_subset_solver_cap():
     with pytest.raises(SizeCapError):
         domination_number(cycle_graph(41))
