@@ -45,8 +45,9 @@ class Graph:
             adj[v] |= 1 << u
         self.edges = tuple(sorted(seen))
         self.adj = tuple(adj)
-        self.closed = tuple(adj[v] | (1 << v) for v in range(n))
-        self.deg = tuple(adj[v].bit_count() for v in range(n))
+        # Tuples from lists, not generators: see solvers._max_packing.
+        self.closed = tuple([adj[v] | (1 << v) for v in range(n)])
+        self.deg = tuple([adj[v].bit_count() for v in range(n)])
         self._full_mask = (1 << n) - 1
 
     @property

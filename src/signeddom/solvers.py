@@ -69,7 +69,7 @@ class SignedFunction:
     @classmethod
     def from_minus_set(cls, n: int, minus) -> "SignedFunction":
         minus = set(minus)
-        return cls(tuple(-1 if v in minus else 1 for v in range(n)))
+        return cls(tuple([-1 if v in minus else 1 for v in range(n)]))
 
     def __str__(self):
         return "".join("+" if a == 1 else "-" for a in self.assignment)
@@ -156,8 +156,8 @@ def partition_stats(g: Graph, f: SignedFunction) -> PartitionStats:
         raise ValueError(f"assignment length {f.n} != vertex count {g.n}")
     plus = f.plus_mask
     minus = f.minus_mask
-    deg_plus = tuple((g.adj[v] & plus).bit_count() for v in range(g.n))
-    deg_minus = tuple((g.adj[v] & minus).bit_count() for v in range(g.n))
+    deg_plus = tuple([(g.adj[v] & plus).bit_count() for v in range(g.n)])
+    deg_minus = tuple([(g.adj[v] & minus).bit_count() for v in range(g.n)])
     e_plus = sum(deg_plus[v] for v in bits(plus)) // 2
     e_minus = sum(deg_minus[v] for v in bits(minus)) // 2
     cut = sum(deg_minus[v] for v in bits(plus))
@@ -336,18 +336,24 @@ def _check_size_cap(g: Graph, cap: int) -> None:
 def _max_packing(g: Graph, cap, least_complement: bool = False):
     """(|S|, S as a bitmask) for a largest S with |N[v] & S| <= cap[v] at every v.
 
-    Branches on vertices in ascending index order. ``avail`` holds the
-    undecided vertices whose closed neighborhood contains no full vertex (one
-    with |N[v] & S| = cap[v]); only those can still join S, so a node dies
-    when ``size + |avail|`` cannot beat the incumbent. Trying "in S" first,
-    the first optimum reached is the lexicographically least sorted set. With
-    ``least_complement=True`` a second pass, bounded to that optimum, tries
-    "out of S" first and returns the optimum whose complement is
-    lexicographically least.
+    Branches on vertices in ascending index order. ``room[v]`` is
+    cap[v] - |N[v] & S|, and ``avail`` holds the undecided vertices whose
+    closed neighborhood has no full vertex (room 0); only those can still join
+    S. A node dies when ``size + |avail|`` cannot beat the incumbent, or else
+    when a greedy cover cannot: it splits ``avail`` into groups N[u] & rest,
+    one centre u per group, and at most room[u] of a group can join S. Trying
+    "in S" first, the first optimum reached is the lexicographically least
+    sorted set. With ``least_complement=True`` a second pass, bounded to that
+    optimum, tries "out of S" first and returns the optimum whose complement
+    is lexicographically least.
     """
     closed = g.closed
-    nbhd = [tuple(bits(closed[v])) for v in range(g.n)]
-    load = [0] * g.n
+    # Lists, not tuples built from generators: those are resized as they grow
+    # and, once freed, pile up in CPython's per-size tuple free lists.
+    nbhd = [list(bits(closed[v])) for v in range(g.n)]
+    room = list(cap)
+    # Below any hit - room[u]: a group holds at least the vertex w it covers.
+    floor = -max(cap, default=0)
     start = g.full_mask
     for v in range(g.n):
         if cap[v] <= 0:
@@ -364,24 +370,45 @@ def _max_packing(g: Graph, cap, least_complement: bool = False):
         if not avail:
             best, witness = size, members
             return not in_first
+        # Greedy cover: each u in N[w] of an available w has room[u] >= 1.
+        bound = size
+        rest = avail
+        while rest:
+            top = floor
+            for u in nbhd[(rest & -rest).bit_length() - 1]:
+                hit = (closed[u] & rest).bit_count()
+                left = room[u]
+                if hit - left > top:
+                    top, centre, take = hit - left, u, hit if hit < left else left
+            bound += take
+            if bound > best:
+                break
+            rest &= ~closed[centre]
+        else:
+            return False
         low = avail & -avail
         if not in_first and search(avail ^ low, size, members):
             return True
         nbrs = nbhd[low.bit_length() - 1]
         blocked = low
         for u in nbrs:
-            load[u] += 1
-            if load[u] == cap[u]:
+            room[u] -= 1
+            if not room[u]:
                 blocked |= closed[u]
         found = search(avail & ~blocked, size + 1, members | low)
         for u in nbrs:
-            load[u] -= 1
+            room[u] += 1
         return found or (in_first and search(avail ^ low, size, members))
 
-    search(start, 0, 0)
-    if least_complement:
-        in_first = False
-        best -= 1
-        if not search(start, 0, 0):
-            raise RuntimeError("optimum value has no witness; search inconsistency")
+    try:
+        search(start, 0, 0)
+        if least_complement:
+            in_first = False
+            best -= 1
+            if not search(start, 0, 0):
+                raise RuntimeError("optimum value has no witness; search inconsistency")
+    finally:
+        # search refers to itself through its closure cell; clearing the cell
+        # frees it at once instead of leaving a cycle to the garbage collector.
+        del search
     return best, witness

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import pytest
 
 import oracles
@@ -226,6 +229,32 @@ def test_packing_fixed_values():
     assert witness.members == frozenset({0, 3, 6})
 
 
+@pytest.mark.parametrize("n", range(10, 15))
+def test_dense_graphs_match_brute_force(n):
+    # Dense graphs are where the kernel's greedy cover bound prunes: every
+    # value and lex-least witness must still be the brute-force one.
+    for p in (0.7, 0.9):
+        g = random_connected(n, p, derive_seed(4242, 10 * n + round(10 * p)))
+        value, witness = signed_domination(g)
+        assert (value, witness) == signed_domination(g, "oracle")
+        bv, bs = oracles.brute_min_tuple_dominating(g, 1)
+        value, witness = domination_number(g)
+        assert (value, witness.sorted_members()) == (bv, bs)
+        assert domination_number(g, lex_least=False)[0] == bv
+        for k in range(1, min(g.deg) + 2):
+            bv, bs = oracles.brute_min_tuple_dominating(g, k)
+            value, witness = tuple_domination_number(g, k)
+            assert (value, witness.sorted_members()) == (bv, bs), (p, k)
+            assert tuple_domination_number(g, k, lex_least=False)[0] == bv
+        for k in range(1, max(g.deg) // 2 + 2):
+            bv, bs = oracles.brute_max_limited_packing(g, k)
+            value, witness = limited_packing_number(g, k)
+            assert (value, witness.sorted_members()) == (bv, bs), (p, k)
+        bv, bs = oracles.brute_max_packing(g)
+        value, witness = packing_number(g)
+        assert (value, witness.sorted_members()) == (bv, bs)
+
+
 def test_subset_solvers_match_brute_force():
     for g in _small_corpus():
         if g.n > 8:
@@ -329,3 +358,40 @@ def test_monotone_chains_small():
             if prev is not None:
                 assert value >= prev + 1
             prev = value
+
+
+def test_solvers_leave_no_cyclic_garbage():
+    graphs = [random_connected(12, p, derive_seed(99, i)) for i, p in enumerate((0.4, 0.7, 0.9))]
+    gc.collect()
+    gc.disable()
+    try:
+        for g in graphs:
+            signed_domination(g)
+            domination_number(g)
+            tuple_domination_number(g, 2)
+            limited_packing_number(g, 2)
+            packing_number(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_repeated_solves_do_not_creep():
+    # Garbage cycles and tuples parked in CPython's free lists both show as
+    # traced memory that grows with every call while gc is off.
+    g = random_connected(16, 0.7, derive_seed(7, 16))
+    expected = signed_domination(g)
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for _ in range(20):
+            signed_domination(g)
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(300):
+            assert signed_domination(g) == expected
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert grown < 64 * 1024, f"traced memory grew {grown} bytes over 300 solves"
