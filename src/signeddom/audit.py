@@ -13,10 +13,14 @@ bound from the same checked stream of reports.
 
 from __future__ import annotations
 
+import collections
 import contextlib
+import errno
 import itertools
 import json
+import os
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .bounds import (
     BOUND_ORDER,
@@ -86,7 +90,7 @@ class BoundViolation(RuntimeError):
         return (
             f"VIOLATION: {self}\n"
             f"graph6: {self.graph6}\n"
-            f"report: {json.dumps(self.report.to_json_dict(), indent=2)}"
+            f"report: {self.report.to_json_text()}"
         )
 
 
@@ -153,49 +157,51 @@ class BoundReport:
                 out.append(f"invariant check {name} failed")
         return out
 
-    def to_json_dict(self) -> dict:
+    def to_json_text(self) -> str:
+        """The report as JSON text, byte for byte ``json.dumps(..., indent=2)``.
+
+        This is the one definition of the report schema: ``to_json_dict``,
+        ``BoundViolation.dump``, ``bounds --json`` and the corpus JSON file all
+        read it. Building the text directly costs about a fifth of building a
+        dict and passing it to the standard library's indented encoder, which
+        is pure Python.
+        """
         p = self.profile
-        return {
-            "graph_id": self.graph_id,
-            "graph6": self.graph6,
-            "n": self.n,
-            "m": self.m,
-            "profile": {
-                "delta": p.delta,
-                "Delta": p.Delta,
-                "delta_star": p.delta_star,
-                "leaves": p.leaf_count,
-                "supports": p.support_count,
-                "odd_vertices": p.odd_count,
-                "connected": p.is_connected,
-                "tree": p.is_tree,
-            },
-            "exact": {
-                "gamma_s": self.gamma_s,
-                "gamma": self.gamma,
-                "rho": self.rho,
-                "limited_packing_k": self.limited_packing_k,
-                "limited_packing": self.limited_packing_value,
-                "tuple_k": self.tuple_k,
-                "tuple_domination": self.tuple_value,
-            },
-            "witness": str(self.witness),
-            "bounds": [
-                {
-                    "name": b.name,
-                    "kind": b.kind,
-                    "applicable": b.applicable,
-                    "reason": b.reason,
-                    "raw": None if b.raw is None else [b.raw.numerator, b.raw.denominator],
-                    "tightened": b.tightened,
-                    "satisfied": satisfied,
-                    "gap": gap,
-                }
-                for b, satisfied, gap in self.bounds
-            ],
-            "checks": {name: _status_str(v) for name, v in self.checks.items()},
-            "sharp": list(self.sharp),
-        }
+        bounds = [_bound_text(b, satisfied, gap) for b, satisfied, gap in self.bounds]
+        checks = [f'{_quote(name)}: "{_status_str(v)}"' for name, v in self.checks.items()]
+        return f"""{{
+  "graph_id": {_quote(self.graph_id)},
+  "graph6": {_quote(self.graph6)},
+  "n": {self.n},
+  "m": {self.m},
+  "profile": {{
+    "delta": {p.delta},
+    "Delta": {p.Delta},
+    "delta_star": {"null" if p.delta_star is None else p.delta_star},
+    "leaves": {p.leaf_count},
+    "supports": {p.support_count},
+    "odd_vertices": {p.odd_count},
+    "connected": {_LITERALS[p.is_connected]},
+    "tree": {_LITERALS[p.is_tree]}
+  }},
+  "exact": {{
+    "gamma_s": {self.gamma_s},
+    "gamma": {self.gamma},
+    "rho": {self.rho},
+    "limited_packing_k": {"null" if self.limited_packing_k is None else self.limited_packing_k},
+    "limited_packing": {"null" if self.limited_packing_value is None else self.limited_packing_value},
+    "tuple_k": {self.tuple_k},
+    "tuple_domination": {self.tuple_value}
+  }},
+  "witness": {_quote(str(self.witness))},
+  "bounds": {_members("[", bounds, "]")},
+  "checks": {_members("{", checks, "}")},
+  "sharp": {_members("[", [_quote(name) for name in self.sharp], "]")}
+}}"""
+
+    def to_json_dict(self) -> dict:
+        """The report as a JSON object, parsed from ``to_json_text``."""
+        return json.loads(self.to_json_text())
 
     def csv_row(self) -> str:
         p = self.profile
@@ -230,6 +236,33 @@ def _status_str(v) -> str:
     if v is None:
         return "na"
     return "pass" if v else "fail"
+
+
+def _members(open_: str, lines: list, close: str) -> str:
+    """A report field's array or object of encoded ``lines``, laid out as ``indent=2`` does."""
+    if not lines:
+        return open_ + close
+    return f"{open_}\n    " + ",\n    ".join(lines) + f"\n  {close}"
+
+
+def _bound_text(b, satisfied, gap) -> str:
+    raw = "null" if b.raw is None else f"[\n        {b.raw.numerator},\n        {b.raw.denominator}\n      ]"
+    return f"""{{
+      "name": {_quote(b.name)},
+      "kind": {_quote(b.kind)},
+      "applicable": {_LITERALS[b.applicable]},
+      "reason": {"null" if b.reason is None else _quote(b.reason)},
+      "raw": {raw},
+      "tightened": {"null" if b.tightened is None else b.tightened},
+      "satisfied": {_LITERALS[satisfied]},
+      "gap": {"null" if gap is None else gap}
+    }}"""
+
+
+# json.dumps of a str, and of a bool or None. _LITERALS takes only those three
+# values: an int 1 or 0 would find the entry of True or False.
+_quote = encode_basestring_ascii
+_LITERALS = {None: "null", True: "true", False: "false"}
 
 
 CSV_HEADER = ",".join(
@@ -440,9 +473,26 @@ def iter_corpus(spec: CorpusSpec):
             index += 1
 
 
-def _audit_item(item, cap: int) -> BoundReport:
-    graph_id, g = item
-    return audit_graph(g, graph_id, bnb_cap=cap)
+POOL_CHUNK = 64
+
+
+def _audit_chunk(items: list, cap: int) -> list:
+    return [audit_graph(g, graph_id, bnb_cap=cap) for graph_id, g in items]
+
+
+def _pool_reports(pool, items, cap: int, window: int):
+    """Audit ``items`` in ``pool``, POOL_CHUNK at a time; yield the reports in order.
+
+    At most ``window`` chunks are submitted ahead of the reader, so a reader
+    that stops early leaves at most that many chunks audited.
+    """
+    chunks = iter(lambda: list(itertools.islice(items, POOL_CHUNK)), [])
+    pending = collections.deque(pool.submit(_audit_chunk, c, cap) for c in itertools.islice(chunks, window))
+    while pending:
+        yield from pending.popleft().result()
+        chunk = next(chunks, None)
+        if chunk is not None:
+            pending.append(pool.submit(_audit_chunk, chunk, cap))
 
 
 def _checked_reports(spec: CorpusSpec, jobs: int = 1):
@@ -450,28 +500,75 @@ def _checked_reports(spec: CorpusSpec, jobs: int = 1):
 
     Raises BoundViolation on the first unsatisfied applicable bound or failed
     invariant check, and ValueError when ``jobs < 1``. With ``jobs > 1`` the
-    graphs are audited in a pool of that many processes; output is the same.
+    graphs are audited in a pool of that many processes, with at most
+    ``2 * jobs`` chunks in flight; output is the same.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     items = iter_corpus(spec)
-    caps = itertools.repeat(spec.bnb_cap)
     with contextlib.ExitStack() as stack:
         if jobs > 1:
             # Imported only here, so serial sweeps never load the pool machinery.
             from concurrent.futures import ProcessPoolExecutor
 
             pool = ProcessPoolExecutor(max_workers=jobs)
-            # map() submits the whole corpus; an early exit drops the graphs not started.
+            # An early exit drops the submitted chunks not yet started.
             stack.callback(pool.shutdown, cancel_futures=True)
-            reports = pool.map(_audit_item, items, caps, chunksize=64)
+            reports = _pool_reports(pool, items, spec.bnb_cap, 2 * jobs)
         else:
-            reports = map(_audit_item, items, caps)
+            reports = (audit_graph(g, graph_id, bnb_cap=spec.bnb_cap) for graph_id, g in items)
         for report in reports:
             problems = report.violations()
             if problems:
                 raise BoundViolation("; ".join(problems), report.graph6, report)
             yield report
+
+
+class _ReportFiles:
+    """Temporary text files created beside report destinations.
+
+    When the ``with`` block ends normally, every file is closed and each one
+    opened with ``replace=True`` is renamed over its destination; the others
+    are scratch files. On an exception nothing is renamed. Either way no
+    temporary file is left behind.
+    """
+
+    def __init__(self):
+        self._files = []  # (file, temporary path, destination or None)
+
+    def __enter__(self):
+        return self
+
+    def open(self, destination, replace: bool = True, newline=None):
+        destination = os.fspath(destination)
+        if replace and os.path.isdir(destination):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), destination)
+        directory, name = os.path.split(destination)
+        for serial in itertools.count():
+            path = os.path.join(directory, f".{name}.{os.getpid()}-{serial}.tmp")
+            try:
+                fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o666)
+            except FileExistsError:
+                continue
+            except OSError as exc:  # reported against the path the caller asked for
+                raise OSError(exc.errno, exc.strerror, destination) from exc
+            break
+        fh = os.fdopen(fd, "w+", buffering=1 << 16, newline=newline)
+        self._files.append((fh, path, destination if replace else None))
+        return fh
+
+    def __exit__(self, exc_type, exc, tb):
+        try:
+            for fh, _, _ in self._files:
+                fh.close()
+            if exc_type is None:
+                for _, path, destination in self._files:
+                    if destination is not None:
+                        os.replace(path, destination)
+        finally:
+            for _, path, _ in self._files:
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(path)
 
 
 def audit_corpus(
@@ -487,47 +584,61 @@ def audit_corpus(
     sizes beyond the solver cap up front, so the summary's ``skips`` list is
     always empty; it stays for the report schema. Identical (spec, seed)
     inputs produce byte-identical CSV and JSON outputs.
+
+    Each report is encoded as it arrives and streamed to temporary files
+    beside the destinations, which are created before the first graph is
+    audited; only the summary aggregates stay in memory. The files are renamed
+    into place when the sweep completes, so an abort or error leaves the
+    destinations as they were.
     """
-    csv_lines = [CSV_HEADER]
-    json_reports = []
     total = 0
     sharp_hist = {name: 0 for name in BOUND_ORDER}
     gap_sum = {name: 0 for name in BOUND_ORDER}
     gap_max = {name: 0 for name in BOUND_ORDER}
     gap_count = {name: 0 for name in BOUND_ORDER}
 
-    for report in _checked_reports(spec, jobs):
-        total += 1
-        for b, _, gap in report.bounds:
-            if b.applicable:
-                gap_count[b.name] += 1
-                gap_sum[b.name] += gap
-                gap_max[b.name] = max(gap_max[b.name], gap)
-                if gap == 0:
-                    sharp_hist[b.name] += 1
+    with _ReportFiles() as files:
+        csv_out = json_out = spool = None
         if csv_path is not None:
-            csv_lines.append(report.csv_row())
+            csv_out = files.open(csv_path, newline="")
+            csv_out.write(CSV_HEADER + "\n")
         if json_path is not None:
-            json_reports.append(report.to_json_dict())
+            json_out = files.open(json_path)
+            spool = files.open(json_path, replace=False)  # the reports, until the summary is known
 
-    summary = {
-        "graphs": total,
-        "violations": 0,
-        "skips": [],
-        "sharp_histogram": sharp_hist,
-        "max_gap": gap_max,
-        "mean_gap": {
-            name: (round(gap_sum[name] / gap_count[name], 6) if gap_count[name] else None)
-            for name in BOUND_ORDER
-        },
-    }
-    if csv_path is not None:
-        with open(csv_path, "w", newline="") as fh:
-            fh.write("\n".join(csv_lines) + "\n")
-    if json_path is not None:
-        with open(json_path, "w") as fh:
-            json.dump({"summary": summary, "reports": json_reports}, fh, indent=2)
-            fh.write("\n")
+        for report in _checked_reports(spec, jobs):
+            total += 1
+            for b, _, gap in report.bounds:
+                if b.applicable:
+                    gap_count[b.name] += 1
+                    gap_sum[b.name] += gap
+                    gap_max[b.name] = max(gap_max[b.name], gap)
+                    if gap == 0:
+                        sharp_hist[b.name] += 1
+            if csv_out is not None:
+                csv_out.write(report.csv_row() + "\n")
+            if spool is not None:
+                spool.write((",\n" if total > 1 else "\n") + report.to_json_text())
+
+        summary = {
+            "graphs": total,
+            "violations": 0,
+            "skips": [],
+            "sharp_histogram": sharp_hist,
+            "max_gap": gap_max,
+            "mean_gap": {
+                name: (round(gap_sum[name] / gap_count[name], 6) if gap_count[name] else None)
+                for name in BOUND_ORDER
+            },
+        }
+        if json_out is not None:
+            # The layout of json.dump({"summary": summary, "reports": [...]}, indent=2) + "\n".
+            summary_text = json.dumps(summary, indent=2).replace("\n", "\n  ")
+            json_out.write(f'{{\n  "summary": {summary_text},\n  "reports": [')
+            spool.seek(0)
+            for chunk in iter(lambda: spool.read(1 << 16), ""):
+                json_out.write(chunk.replace("\n", "\n    "))  # each report one level deeper
+            json_out.write("\n  ]\n}\n" if total else "]\n}\n")
     return summary
 
 

@@ -190,7 +190,7 @@ def _cmd_bounds(args) -> int:
     g = _load_graph(args.input)
     report = audit_graph(g, bnb_cap=args.cap_bnb)
     if args.json:
-        print(json.dumps(report.to_json_dict(), indent=2))
+        print(report.to_json_text())
         return 0
     print(f"graph {report.graph_id}: n={report.n} m={report.m} gamma_s={report.gamma_s}")
     for b, satisfied, gap in report.bounds:

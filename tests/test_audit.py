@@ -1,7 +1,7 @@
 import dataclasses
 import json
 import os
-import time
+import tracemalloc
 
 import pytest
 
@@ -248,8 +248,8 @@ def test_invalid_subset_certificate_aborts_in_a_pool(monkeypatch):
 
 def test_pool_abort_drops_the_graphs_not_started(monkeypatch, tmp_path):
     # A violation on the first of the 18,248 trees with n <= 7 must not wait
-    # for the pool to audit the rest of the corpus. Each audit also sleeps, so
-    # the workers cannot outrun the parent's submission of the whole corpus.
+    # for the pool to audit the rest of the corpus: with 2 workers at most
+    # 2 * 2 chunks are ever submitted ahead of the reader.
     log = tmp_path / "audited"
     real = audit_mod.audit_graph
 
@@ -257,7 +257,6 @@ def test_pool_abort_drops_the_graphs_not_started(monkeypatch, tmp_path):
         fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
         os.write(fd, b".")
         os.close(fd)
-        time.sleep(0.001)
         report = real(g, graph_id, **kwargs)
         if graph_id == "tree-n2-0000000":
             report.checks["eq1"] = False
@@ -266,7 +265,58 @@ def test_pool_abort_drops_the_graphs_not_started(monkeypatch, tmp_path):
     monkeypatch.setattr(audit_mod, "audit_graph", planted)
     with pytest.raises(BoundViolation):
         audit_corpus(CorpusSpec(kind="trees_exhaustive", n_min=2, n_max=7), jobs=2)
-    assert log.stat().st_size < 18248 // 2
+    assert log.stat().st_size <= 2 * 2 * audit_mod.POOL_CHUNK
+
+
+@pytest.mark.parametrize("which", ("csv_path", "json_path"))
+def test_unwritable_output_audits_nothing(monkeypatch, tmp_path, which):
+    audited = []
+    real = audit_mod.audit_graph
+    monkeypatch.setattr(audit_mod, "audit_graph", lambda g, *a, **k: audited.append(g) or real(g, *a, **k))
+    spec = CorpusSpec(kind="trees_exhaustive", n_min=2, n_max=5)
+    with pytest.raises(FileNotFoundError, match="missing"):
+        audit_corpus(spec, **{which: tmp_path / "missing" / "r.out"})
+    with pytest.raises(IsADirectoryError):
+        audit_corpus(spec, **{which: tmp_path})
+    assert audited == []
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+def test_aborted_sweep_writes_nothing(monkeypatch, tmp_path, jobs):
+    # The violation comes after several chunks of reports have been streamed.
+    real = audit_mod.audit_graph
+
+    def planted(g, graph_id=None, **kwargs):
+        report = real(g, graph_id, **kwargs)
+        if graph_id == "tree-n5-0000100":
+            report.checks["eq2"] = False
+        return report
+
+    monkeypatch.setattr(audit_mod, "audit_graph", planted)
+    old = tmp_path / "r.json"
+    old.write_text("earlier report\n")
+    with pytest.raises(BoundViolation, match="eq2"):
+        audit_corpus(CorpusSpec(kind="trees_exhaustive", n_min=2, n_max=5),
+                     csv_path=tmp_path / "r.csv", json_path=old, jobs=jobs)
+    assert os.listdir(tmp_path) == ["r.json"]
+    assert old.read_text() == "earlier report\n"
+
+
+def test_sweep_memory_stays_flat(tmp_path):
+    # Reports are streamed to disk, so auditing the 1,441 trees with n <= 6
+    # peaks within 1.5x of the 145 with n <= 5 (a sweep that held its reports
+    # would grow about tenfold).
+    paths = {"csv_path": tmp_path / "r.csv", "json_path": tmp_path / "r.json"}
+    audit_corpus(CorpusSpec(kind="trees_exhaustive", n_min=2, n_max=4), **paths)  # warm-up
+    peaks = []
+    for n_max in (5, 6):
+        tracemalloc.start()
+        try:
+            audit_corpus(CorpusSpec(kind="trees_exhaustive", n_min=2, n_max=n_max), **paths)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_jobs_below_one_are_rejected():
