@@ -39,6 +39,7 @@ from .solvers import (
     BNB_CAP,
     ROLE_LIMITED_PACKING,
     ROLE_TUPLE_DOMINATING,
+    DegreeOrder,
     SignedFunction,
     VertexSet,
     domination_number,
@@ -295,8 +296,9 @@ def audit_graph(
     and the invariant checks skipped. Output is deterministic per graph.
     Graphs with n > ``bnb_cap`` raise SizeCapError from the solvers.
 
-    The report carries values only, so the domination-side solvers skip their
-    lexicographically-least pass; every subset value is still re-checked
+    The report carries values only, so the subset solvers and the chain
+    checks run with ``lex_least=False``, from one ``DegreeOrder`` of g built
+    here and dropped on return; every subset value is still re-checked
     against the set found for it (see ``_certify_sets``).
     """
     profile = structural_profile(g)
@@ -305,14 +307,17 @@ def audit_graph(
         graph_id = g6
 
     gamma_s, witness = signed_domination(g, "branch_and_bound", bnb_cap=bnb_cap)
-    gamma, gamma_set = domination_number(g, cap=bnb_cap, lex_least=False)
-    rho, rho_set = packing_number(g, cap=bnb_cap)
+    order = DegreeOrder(g)
+    gamma, gamma_set = domination_number(g, cap=bnb_cap, lex_least=False, context=order)
+    rho, rho_set = packing_number(g, cap=bnb_cap, lex_least=False, context=order)
     lp_k = profile.delta // 2 if profile.delta >= 2 else None
     lp_value, lp_set = None, None
     if lp_k is not None:
-        lp_value, lp_set = limited_packing_number(g, lp_k, cap=bnb_cap)
+        lp_value, lp_set = limited_packing_number(g, lp_k, cap=bnb_cap, lex_least=False, context=order)
     tuple_k = (profile.delta + 1) // 2 + 1
-    tuple_value, tuple_set = tuple_domination_number(g, tuple_k, cap=bnb_cap, lex_least=False)
+    tuple_value, tuple_set = tuple_domination_number(
+        g, tuple_k, cap=bnb_cap, lex_least=False, context=order
+    )
 
     report = BoundReport(
         graph_id=graph_id,
@@ -364,7 +369,7 @@ def audit_graph(
         if satisfied and gap == 0:
             report.sharp.append(b.name)
 
-    report.checks = _invariant_checks(g, profile, report)
+    report.checks = _invariant_checks(g, profile, report, order)
     return report
 
 
@@ -382,7 +387,9 @@ def _certify_sets(g: Graph, report: BoundReport, certified) -> None:
             )
 
 
-def _invariant_checks(g: Graph, profile: StructuralProfile, report: BoundReport) -> dict:
+def _invariant_checks(
+    g: Graph, profile: StructuralProfile, report: BoundReport, order: DegreeOrder
+) -> dict:
     witness = report.witness
     minus = witness.minus_set
     stats = partition_stats(g, witness)
@@ -418,18 +425,18 @@ def _invariant_checks(g: Graph, profile: StructuralProfile, report: BoundReport)
         checks["eq2"] = None
 
     if g.n <= CHAIN_CHECK_MAX_N:
-        checks["chain_Lk"] = _check_limited_packing_chain(g, profile)
-        checks["chain_tuple"] = _check_tuple_chain(g, profile)
+        checks["chain_Lk"] = _check_limited_packing_chain(g, profile, order)
+        checks["chain_tuple"] = _check_tuple_chain(g, profile, order)
     else:
         checks["chain_Lk"] = None
         checks["chain_tuple"] = None
     return checks
 
 
-def _check_limited_packing_chain(g: Graph, profile: StructuralProfile) -> bool:
+def _check_limited_packing_chain(g: Graph, profile: StructuralProfile, order: DegreeOrder) -> bool:
     prev = None
     for k in range(1, profile.Delta // 2 + 2):
-        value, _ = limited_packing_number(g, k)
+        value, _ = limited_packing_number(g, k, lex_least=False, context=order)
         if prev is not None and prev < g.n and value < prev + 1:
             return False
         if value == g.n:
@@ -438,10 +445,10 @@ def _check_limited_packing_chain(g: Graph, profile: StructuralProfile) -> bool:
     return True
 
 
-def _check_tuple_chain(g: Graph, profile: StructuralProfile) -> bool:
+def _check_tuple_chain(g: Graph, profile: StructuralProfile, order: DegreeOrder) -> bool:
     prev = None
     for k in range(1, profile.delta + 2):
-        value, _ = tuple_domination_number(g, k, lex_least=False)
+        value, _ = tuple_domination_number(g, k, lex_least=False, context=order)
         if prev is not None and value < prev + 1:
             return False
         prev = value

@@ -23,6 +23,7 @@ from .solvers import (
     signed_domination,
     tuple_domination_number,
     verify_sdf,
+    vertex_set_violations,
 )
 
 _CORPUS_CHOICES = tuple(k.replace("_", "-") for k in CORPUS_KINDS)
@@ -178,6 +179,11 @@ def _cmd_solve(args) -> int:
         else:
             value, vs = packing_number(g, cap=args.cap_bnb)
         witness = " ".join(str(v) for v in vs.sorted_members())
+        bad = vertex_set_violations(g, vs)
+        if bad or vs.size != value:
+            size = "" if vs.size == value else f"; it has {vs.size} members, not {value}"
+            print(f"error: witness {witness} is invalid at vertices {bad}{size}", file=sys.stderr)
+            return 1
     if args.json:
         print(json.dumps({"param": args.param, "value": value, "witness": witness}))
     else:

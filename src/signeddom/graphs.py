@@ -45,7 +45,7 @@ class Graph:
             adj[v] |= 1 << u
         self.edges = tuple(sorted(seen))
         self.adj = tuple(adj)
-        # Tuples from lists, not generators: see solvers._max_packing.
+        # Tuples from lists, not generators: see solvers._neighbour_lists.
         self.closed = tuple([adj[v] | (1 << v) for v in range(n)])
         self.deg = tuple([adj[v].bit_count() for v in range(n)])
         self._full_mask = (1 << n) - 1
@@ -163,6 +163,7 @@ def structural_profile(g: Graph) -> StructuralProfile:
     delta_star = min((deg[v] for v in core), default=None)
     odd = frozenset(v for v in range(n) if deg[v] % 2 == 1)
     even = frozenset(range(n)) - odd
+    connected = g.is_connected()
     return StructuralProfile(
         n=n,
         m=g.m,
@@ -175,6 +176,6 @@ def structural_profile(g: Graph) -> StructuralProfile:
         delta_star=delta_star,
         odd_vertices=odd,
         even_vertices=even,
-        is_connected=g.is_connected(),
-        is_tree=g.is_tree(),
+        is_connected=connected,
+        is_tree=connected and n >= 1 and g.m == n - 1,
     )

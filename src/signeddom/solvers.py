@@ -4,13 +4,19 @@ A sign assignment f is feasible iff every closed neighborhood sums to at
 least 1, i.e. |N[v] ∩ V-| <= floor(deg(v)/2) for every v. So the signed
 domination number, k-limited packings, packings, k-tuple domination and
 domination are all one problem: a largest S with |N[v] ∩ S| <= cap(v) at every
-v. One branch-and-bound kernel, ``_max_packing``, solves it in ascending index
-order and returns the lexicographically least optimal S, or for the
-domination side the optimal S with the lexicographically least complement.
-So sign assignments are the lexicographically smallest optimum (comparing
-per-vertex values with -1 < +1) and vertex sets the lexicographically least
-optimal set. A transparent oracle that enumerates all 2^n sign vectors is the
-independent second route for the signed domination number.
+v. One branch-and-bound kernel, ``_max_packing``, solves it.
+
+By default the kernel branches in ascending index order and returns the
+lexicographically least optimal S, or for the domination side the optimal S
+with the lexicographically least complement. So ``signed_domination`` returns
+the lexicographically smallest optimal assignment (comparing per-vertex values
+with -1 < +1), and each subset solver the lexicographically least optimal set.
+With ``lex_least=False`` a subset solver returns the same value with a set
+that is just as optimal and valid, but not lex-least: the kernel's first
+optimum on the graph relabelled in ascending (degree, index) order by a
+``DegreeOrder``, which needs fewer search nodes. A transparent oracle that
+enumerates all 2^n sign vectors is the independent second route for the
+signed domination number.
 """
 
 from __future__ import annotations
@@ -223,7 +229,7 @@ def signed_domination(
     if mode in ("branch_and_bound", "bnb"):
         if n > bnb_cap:
             raise SizeCapError(f"branch-and-bound capped at n <= {bnb_cap}, got {n}")
-        size, minus = _max_packing(g, [d // 2 for d in g.deg])
+        size, minus = _max_packing(g.closed, _neighbour_lists(g.closed), [d // 2 for d in g.deg])
         return n - 2 * size, SignedFunction.from_minus_set(n, bits(minus))
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -275,44 +281,100 @@ def _lex_key(plus_mask: int, n: int):
 # -- subset solvers ------------------------------------------------------------
 
 
-def domination_number(g: Graph, cap: int = BNB_CAP, lex_least: bool = True):
+class DegreeOrder:
+    """``graph`` relabelled in ascending (degree, index) order, for value-only solves.
+
+    Label i is vertex ``order[i]``; ``closed`` holds the closed neighbourhood
+    masks in the new labels and ``nbhd`` the same neighbourhoods as ascending
+    lists. Branching on low-degree vertices first needs fewer search nodes,
+    but the optimum found first is then not the lexicographically least one,
+    so only ``lex_least=False`` solves take it. One instance serves every
+    such solve on its graph.
+    """
+
+    __slots__ = ("graph", "order", "closed", "nbhd")
+
+    def __init__(self, g: Graph):
+        # sorted is stable, so equal degrees keep ascending index order.
+        order = sorted(range(g.n), key=g.deg.__getitem__)
+        label = [0] * g.n
+        for i, v in enumerate(order):
+            label[v] = i
+        # Filled from the edge list: cheaper than relabelling each mask bit by bit.
+        nbhd = [[i] for i in range(g.n)]
+        for u, v in g.edges:
+            nbhd[label[u]].append(label[v])
+            nbhd[label[v]].append(label[u])
+        for row in nbhd:
+            row.sort()
+        self.graph = g
+        self.order = order
+        self.closed = [mask_of(row) for row in nbhd]
+        self.nbhd = nbhd
+
+
+def domination_number(
+    g: Graph, cap: int = BNB_CAP, lex_least: bool = True, context: DegreeOrder | None = None
+):
     """Minimum dominating set (gamma = gamma_x1); isolated vertices are members.
 
-    ``lex_least`` is passed to ``tuple_domination_number``.
+    ``lex_least`` and ``context`` are passed to ``tuple_domination_number``.
     """
-    size, vs = tuple_domination_number(g, 1, cap, lex_least)
+    size, vs = tuple_domination_number(g, 1, cap, lex_least, context)
     return size, VertexSet(vs.members, ROLE_DOMINATING)
 
 
-def tuple_domination_number(g: Graph, k: int, cap: int = BNB_CAP, lex_least: bool = True):
+def tuple_domination_number(
+    g: Graph,
+    k: int,
+    cap: int = BNB_CAP,
+    lex_least: bool = True,
+    context: DegreeOrder | None = None,
+):
     """Minimum k-tuple dominating set; requires 1 <= k <= delta + 1.
 
     D is k-tuple dominating iff its complement S has |N[v] & S| <= deg(v)+1-k
     at every v, so D is the complement of a maximum packing with those caps.
     The set returned is the lexicographically least minimum D. With
-    ``lex_least=False`` it is the complement of the kernel's first optimum
-    instead: just as minimum and valid, but found without the second pass.
+    ``lex_least=False`` it is just as minimum and valid, but found in the
+    degree order of ``context`` (a ``DegreeOrder`` of g, built here if None).
     """
     delta = min(g.deg) if g.n else 0
     if not 1 <= k <= delta + 1:
         raise ValueError(f"k must satisfy 1 <= k <= delta+1 = {delta + 1}, got {k}")
     _check_size_cap(g, cap)
-    size, s = _max_packing(g, [d + 1 - k for d in g.deg], least_complement=lex_least)
+    size, s = _solve_packing(g, [d + 1 - k for d in g.deg], lex_least, context, least_complement=True)
     return g.n - size, VertexSet(frozenset(bits(g.full_mask & ~s)), ROLE_TUPLE_DOMINATING, k)
 
 
-def limited_packing_number(g: Graph, k: int, cap: int = BNB_CAP):
-    """Maximum k-limited packing; requires k >= 1."""
+def limited_packing_number(
+    g: Graph,
+    k: int,
+    cap: int = BNB_CAP,
+    lex_least: bool = True,
+    context: DegreeOrder | None = None,
+):
+    """Maximum k-limited packing; requires k >= 1.
+
+    The set returned is the lexicographically least maximum one. With
+    ``lex_least=False`` it is just as maximum and valid, but found in the
+    degree order of ``context`` (a ``DegreeOrder`` of g, built here if None).
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     _check_size_cap(g, cap)
-    size, s = _max_packing(g, [k] * g.n)
+    size, s = _solve_packing(g, [k] * g.n, lex_least, context)
     return size, VertexSet(frozenset(bits(s)), ROLE_LIMITED_PACKING, k)
 
 
-def packing_number(g: Graph, cap: int = BNB_CAP):
-    """Maximum packing (pairwise-disjoint closed neighborhoods); equals L_1."""
-    size, vs = limited_packing_number(g, 1, cap)
+def packing_number(
+    g: Graph, cap: int = BNB_CAP, lex_least: bool = True, context: DegreeOrder | None = None
+):
+    """Maximum packing (pairwise-disjoint closed neighborhoods); equals L_1.
+
+    ``lex_least`` and ``context`` are passed to ``limited_packing_number``.
+    """
+    size, vs = limited_packing_number(g, 1, cap, lex_least, context)
     return size, VertexSet(vs.members, ROLE_PACKING)
 
 
@@ -333,29 +395,58 @@ def _check_size_cap(g: Graph, cap: int) -> None:
         raise SizeCapError(f"subset solvers capped at n <= {cap}, got {g.n}")
 
 
-def _max_packing(g: Graph, cap, least_complement: bool = False):
-    """(|S|, S as a bitmask) for a largest S with |N[v] & S| <= cap[v] at every v.
-
-    Branches on vertices in ascending index order. ``room[v]`` is
-    cap[v] - |N[v] & S|, and ``avail`` holds the undecided vertices whose
-    closed neighborhood has no full vertex (room 0); only those can still join
-    S. A node dies when ``size + |avail|`` cannot beat the incumbent, or else
-    when a greedy cover cannot: it splits ``avail`` into groups N[u] & rest,
-    one centre u per group, and at most room[u] of a group can join S. Trying
-    "in S" first, the first optimum reached is the lexicographically least
-    sorted set. With ``least_complement=True`` a second pass, bounded to that
-    optimum, tries "out of S" first and returns the optimum whose complement
-    is lexicographically least.
-    """
-    closed = g.closed
+def _neighbour_lists(closed) -> list:
+    """The members of each closed neighbourhood mask, in ascending order."""
     # Lists, not tuples built from generators: those are resized as they grow
     # and, once freed, pile up in CPython's per-size tuple free lists.
-    nbhd = [list(bits(closed[v])) for v in range(g.n)]
+    return [list(bits(c)) for c in closed]
+
+
+def _solve_packing(g: Graph, cap, lex_least: bool, context, least_complement: bool = False):
+    """The kernel's (|S|, S as a bitmask) on g, with S in g's own labels.
+
+    With ``lex_least`` it branches in index order, and ``least_complement`` is
+    passed on. Otherwise it keeps the first optimum in the degree order of
+    ``context``, or of a ``DegreeOrder`` built here when that is None.
+    """
+    if lex_least:
+        if context is not None:
+            raise ValueError("a DegreeOrder context serves only lex_least=False solves")
+        return _max_packing(g.closed, _neighbour_lists(g.closed), cap, least_complement)
+    if context is None:
+        context = DegreeOrder(g)
+    elif context.graph is not g:
+        raise ValueError("the DegreeOrder context was built for another graph")
+    order = context.order
+    size, s = _max_packing(context.closed, context.nbhd, [cap[v] for v in order])
+    mask = 0
+    for i in bits(s):
+        mask |= 1 << order[i]
+    return size, mask
+
+
+def _max_packing(closed, nbhd, cap, least_complement: bool = False):
+    """(|S|, S as a bitmask) for a largest S with |N[v] & S| <= cap[v] at every v.
+
+    ``closed`` holds the closed neighbourhood masks of vertices 0..n-1 and
+    ``nbhd`` the same neighbourhoods as ascending lists. Branches on vertices
+    in ascending index order. ``room[v]`` is cap[v] - |N[v] & S|, and
+    ``avail`` holds the undecided vertices whose closed neighborhood has no
+    full vertex (room 0); only those can still join S. A node dies when
+    ``size + |avail|`` cannot beat the incumbent, or else when a greedy cover
+    cannot: it splits ``avail`` into groups N[u] & rest, one centre u per
+    group, and at most room[u] of a group can join S. Trying "in S" first, the
+    first optimum reached is the lexicographically least sorted set. With
+    ``least_complement=True`` a second pass, bounded to that optimum, tries
+    "out of S" first and returns the optimum whose complement is
+    lexicographically least.
+    """
+    n = len(closed)
     room = list(cap)
     # Below any hit - room[u]: a group holds at least the vertex w it covers.
     floor = -max(cap, default=0)
-    start = g.full_mask
-    for v in range(g.n):
+    start = (1 << n) - 1
+    for v in range(n):
         if cap[v] <= 0:
             start &= ~closed[v]
     best = -1

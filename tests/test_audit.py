@@ -9,6 +9,7 @@ import signeddom.audit as audit_mod
 from signeddom import (
     BoundViolation,
     CorpusSpec,
+    DegreeOrder,
     Graph,
     SizeCapError,
     audit_corpus,
@@ -335,7 +336,7 @@ def test_empty_core_with_minus_vertices_aborts():
     report = audit_graph(g, "C6")
     profile = dataclasses.replace(report.profile, delta_star=None)
     with pytest.raises(BoundViolation, match="empty core"):
-        audit_mod._invariant_checks(g, profile, report)
+        audit_mod._invariant_checks(g, profile, report, DegreeOrder(g))
 
 
 def test_hunt_complete_thm3_3():

@@ -3,7 +3,7 @@ import json
 import signeddom.cli as cli_mod
 from signeddom import BoundViolation, audit_graph, cycle_graph, parse_graph, path_graph, serialize_graph, verify_sdf
 from signeddom.cli import main
-from signeddom.solvers import SignedFunction
+from signeddom.solvers import SignedFunction, VertexSet
 
 
 def run(capsys, *argv):
@@ -82,6 +82,23 @@ def test_solve_rejects_invalid_witness(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "solve", "--param", "gamma_s", "--input", str(c6))
     assert code == 1 and out == ""
     assert "invalid at vertices [0, 1, 2, 3, 4, 5]" in err
+
+
+def test_solve_rejects_invalid_subset_witness(tmp_path, capsys, monkeypatch):
+    c6 = tmp_path / "c6.el"
+    c6.write_text(serialize_graph(cycle_graph(6), "edgelist"))
+    # {0} dominates only 5, 0 and 1 of C6.
+    monkeypatch.setattr(cli_mod, "domination_number",
+                        lambda g, *a, **k: (1, VertexSet(frozenset({0}), "dominating")))
+    code, out, err = run(capsys, "solve", "--param", "gamma", "--input", str(c6))
+    assert code == 1 and out == ""
+    assert "error: witness 0 is invalid at vertices [2, 3, 4]" in err
+    # A valid set whose size is not the value is rejected too.
+    monkeypatch.setattr(cli_mod, "packing_number",
+                        lambda g, *a, **k: (3, VertexSet(frozenset({0, 3}), "packing")))
+    code, out, err = run(capsys, "solve", "--param", "rho", "--input", str(c6))
+    assert code == 1 and out == ""
+    assert "error: witness 0 3 is invalid at vertices []; it has 2 members, not 3" in err
 
 
 def test_solve_cap_error(tmp_path, capsys):

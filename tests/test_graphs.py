@@ -109,6 +109,12 @@ def test_connectivity_and_tree_flags():
     prof = structural_profile(two_parts)
     assert not prof.is_connected and not prof.is_tree
     assert Graph(1).is_connected()
+    # The profile's flags come from one BFS; they must agree with the methods,
+    # also on a disconnected graph with m = n - 1 and on the empty graph.
+    triangle_and_point = Graph(4, [(0, 1), (1, 2), (0, 2)])
+    for g in (Graph(0), Graph(1), path_graph(6), cycle_graph(5), two_parts, triangle_and_point):
+        prof = structural_profile(g)
+        assert (prof.is_connected, prof.is_tree) == (g.is_connected(), g.is_tree())
 
 
 def test_isolated_vertices_in_profile():

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from signeddom import (
+    DegreeOrder,
     Graph,
     SignedFunction,
     SizeCapError,
@@ -240,19 +241,29 @@ def test_dense_graphs_match_brute_force(n):
         bv, bs = oracles.brute_min_tuple_dominating(g, 1)
         value, witness = domination_number(g)
         assert (value, witness.sorted_members()) == (bv, bs)
-        assert domination_number(g, lex_least=False)[0] == bv
+        _check_value_only(g, bv, domination_number(g, lex_least=False))
         for k in range(1, min(g.deg) + 2):
             bv, bs = oracles.brute_min_tuple_dominating(g, k)
             value, witness = tuple_domination_number(g, k)
             assert (value, witness.sorted_members()) == (bv, bs), (p, k)
-            assert tuple_domination_number(g, k, lex_least=False)[0] == bv
+            _check_value_only(g, bv, tuple_domination_number(g, k, lex_least=False))
         for k in range(1, max(g.deg) // 2 + 2):
             bv, bs = oracles.brute_max_limited_packing(g, k)
             value, witness = limited_packing_number(g, k)
             assert (value, witness.sorted_members()) == (bv, bs), (p, k)
+            _check_value_only(g, bv, limited_packing_number(g, k, lex_least=False))
         bv, bs = oracles.brute_max_packing(g)
         value, witness = packing_number(g)
         assert (value, witness.sorted_members()) == (bv, bs)
+        _check_value_only(g, bv, packing_number(g, lex_least=False))
+
+
+def _check_value_only(g, expected, result):
+    # A value-only solve need not return the lex-least set, but its set must
+    # be valid and as large as the brute-force optimum.
+    value, witness = result
+    assert value == expected == witness.size
+    assert vertex_set_violations(g, witness) == []
 
 
 def test_subset_solvers_match_brute_force():
@@ -293,12 +304,34 @@ def test_value_only_domination_keeps_values():
         assert fast.role == "dominating" and vertex_set_violations(g, fast) == []
 
 
-def test_value_only_set_is_the_complement_of_the_least_packing():
-    # P4 has minimum dominating sets {0, 2}, {0, 3}, {1, 2}, {1, 3}: the first
-    # pass keeps the least S = {0, 2} and so returns D = {1, 3}.
+def test_value_only_sets_follow_the_degree_order():
+    # P4 has minimum dominating sets {0, 2}, {0, 3}, {1, 2}, {1, 3}. The degree
+    # order is 0, 3, 1, 2; the kernel's first optimum there is the packing
+    # S = {0, 3}, so the value-only D is its complement {1, 2}.
     g = path_graph(4)
+    assert DegreeOrder(g).order == [0, 3, 1, 2]
     assert domination_number(g)[1].sorted_members() == (0, 2)
-    assert domination_number(g, lex_least=False)[1].sorted_members() == (1, 3)
+    assert domination_number(g, lex_least=False)[1].sorted_members() == (1, 2)
+    assert packing_number(g, lex_least=False)[1].sorted_members() == (0, 3)
+    # The house: square 0-1-2-3 with roof 4 on 2 and 3. The degree-2 vertices
+    # come first, so S takes 0, 1 and 4 where it can.
+    g = Graph(5, [(0, 1), (0, 3), (1, 2), (2, 3), (2, 4), (3, 4)])
+    order = DegreeOrder(g)
+    assert order.order == [0, 1, 4, 2, 3]
+    assert domination_number(g)[1].sorted_members() == (0, 2)
+    assert domination_number(g, lex_least=False, context=order)[1].sorted_members() == (2, 3)
+    assert tuple_domination_number(g, 2)[1].sorted_members() == (0, 2, 3)
+    assert tuple_domination_number(g, 2, lex_least=False, context=order)[1].sorted_members() == (1, 2, 3)
+
+
+def test_degree_order_context_is_checked():
+    g = path_graph(5)
+    order = DegreeOrder(g)
+    assert packing_number(g, lex_least=False, context=order) == packing_number(g, lex_least=False)
+    with pytest.raises(ValueError, match="only lex_least=False"):
+        packing_number(g, context=order)
+    with pytest.raises(ValueError, match="another graph"):
+        domination_number(path_graph(5), lex_least=False, context=order)
 
 
 def test_subset_solver_cap():
@@ -371,25 +404,42 @@ def test_solvers_leave_no_cyclic_garbage():
             tuple_domination_number(g, 2)
             limited_packing_number(g, 2)
             packing_number(g)
+            domination_number(g, lex_least=False)
+            order = DegreeOrder(g)
+            tuple_domination_number(g, 2, lex_least=False, context=order)
+            limited_packing_number(g, 2, lex_least=False, context=order)
+            packing_number(g, lex_least=False, context=order)
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _audit_solves(g):
+    # The audit's solves: gamma_s, and the value-only ones from one DegreeOrder.
+    order = DegreeOrder(g)
+    return (
+        signed_domination(g),
+        domination_number(g, lex_least=False, context=order),
+        packing_number(g, lex_least=False, context=order),
+        limited_packing_number(g, 3, lex_least=False, context=order),
+        tuple_domination_number(g, 3, lex_least=False, context=order),
+    )
 
 
 def test_repeated_solves_do_not_creep():
     # Garbage cycles and tuples parked in CPython's free lists both show as
     # traced memory that grows with every call while gc is off.
     g = random_connected(16, 0.7, derive_seed(7, 16))
-    expected = signed_domination(g)
+    expected = _audit_solves(g)
     gc.collect()
     gc.disable()
     tracemalloc.start()
     try:
         for _ in range(20):
-            signed_domination(g)
+            _audit_solves(g)
         before = tracemalloc.get_traced_memory()[0]
         for _ in range(300):
-            assert signed_domination(g) == expected
+            assert _audit_solves(g) == expected
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
