@@ -296,18 +296,19 @@ def audit_graph(
     and the invariant checks skipped. Output is deterministic per graph.
     Graphs with n > ``bnb_cap`` raise SizeCapError from the solvers.
 
-    The report carries values only, so the subset solvers and the chain
-    checks run with ``lex_least=False``, from one ``DegreeOrder`` of g built
-    here and dropped on return; every subset value is still re-checked
-    against the set found for it (see ``_certify_sets``).
+    One ``DegreeOrder`` of g, built here and dropped on return, serves every
+    solve: the gamma_s solve's value pass, the subset solvers and the chain
+    checks. The report carries subset values only, so those run with
+    ``lex_least=False``; every subset value is still re-checked against the
+    set found for it (see ``_certify_sets``).
     """
     profile = structural_profile(g)
     g6 = serialize_graph(g, "graph6") if g.n <= 62 else ""
     if graph_id is None:
         graph_id = g6
 
-    gamma_s, witness = signed_domination(g, "branch_and_bound", bnb_cap=bnb_cap)
     order = DegreeOrder(g)
+    gamma_s, witness = signed_domination(g, "branch_and_bound", bnb_cap=bnb_cap, context=order)
     gamma, gamma_set = domination_number(g, cap=bnb_cap, lex_least=False, context=order)
     rho, rho_set = packing_number(g, cap=bnb_cap, lex_least=False, context=order)
     lp_k = profile.delta // 2 if profile.delta >= 2 else None

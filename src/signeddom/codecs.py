@@ -80,7 +80,8 @@ def detect_format(text: bytes | str) -> str:
 
 def _parse_edgelist(text: str) -> Graph:
     header = None
-    edges = []
+    # A set, so each duplicate check is O(1); Graph sorts the edges anyway.
+    edges = set()
     n = m = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -113,7 +114,7 @@ def _parse_edgelist(text: str) -> Graph:
         key = (u, v) if u < v else (v, u)
         if key in edges:
             raise GraphFormatError(f"duplicate edge ({key[0]},{key[1]})", line=lineno)
-        edges.append(key)
+        edges.add(key)
     if header is None:
         raise GraphFormatError("missing 'n m' header")
     if len(edges) != m:

@@ -6,17 +6,19 @@ domination number, k-limited packings, packings, k-tuple domination and
 domination are all one problem: a largest S with |N[v] ∩ S| <= cap(v) at every
 v. One branch-and-bound kernel, ``_max_packing``, solves it.
 
-By default the kernel branches in ascending index order and returns the
-lexicographically least optimal S, or for the domination side the optimal S
+Every solve runs the kernel twice at most. The value pass branches on the
+graph relabelled in ascending (degree, index) order by a ``DegreeOrder``,
+which needs fewer search nodes, and finds the optimum. A lex-least solve then
+runs a witness pass in ascending index order, bounded to that optimum, which
+stops at its first leaf: trying "in S" first, the lexicographically least
+optimal S, and for the domination side, trying "out of S" first, the optimal S
 with the lexicographically least complement. So ``signed_domination`` returns
 the lexicographically smallest optimal assignment (comparing per-vertex values
 with -1 < +1), and each subset solver the lexicographically least optimal set.
-With ``lex_least=False`` a subset solver returns the same value with a set
-that is just as optimal and valid, but not lex-least: the kernel's first
-optimum on the graph relabelled in ascending (degree, index) order by a
-``DegreeOrder``, which needs fewer search nodes. A transparent oracle that
-enumerates all 2^n sign vectors is the independent second route for the
-signed domination number.
+With ``lex_least=False`` a subset solver skips the witness pass: same value,
+and the value pass's set, just as optimal and valid but not lex-least.
+A transparent oracle that enumerates all 2^n sign vectors is the independent
+second route for the signed domination number.
 """
 
 from __future__ import annotations
@@ -209,6 +211,7 @@ def signed_domination(
     mode: str = "branch_and_bound",
     oracle_cap: int = ORACLE_CAP,
     bnb_cap: int = BNB_CAP,
+    context: DegreeOrder | None = None,
 ):
     """Minimum-weight valid sign assignment, with its witness.
 
@@ -216,8 +219,9 @@ def signed_domination(
     vertices are pinned to +1 by validity, so the optimum is n with the all-+1
     witness. Otherwise dispatches on ``mode`` ("oracle" enumerates all 2^n
     assignments; "branch_and_bound" takes V- as a maximum packing with
-    capacities floor(deg/2)). Both modes return the lexicographically smallest
-    optimal assignment (-1 < +1 per index).
+    capacities floor(deg/2), its value found in the degree order of
+    ``context``, a ``DegreeOrder`` of g built here if None). Both modes return
+    the lexicographically smallest optimal assignment (-1 < +1 per index).
     """
     n = g.n
     if forced_plus_mask(g) == g.full_mask:
@@ -229,7 +233,7 @@ def signed_domination(
     if mode in ("branch_and_bound", "bnb"):
         if n > bnb_cap:
             raise SizeCapError(f"branch-and-bound capped at n <= {bnb_cap}, got {n}")
-        size, minus = _max_packing(g.closed, _neighbour_lists(g.closed), [d // 2 for d in g.deg])
+        size, minus = _solve_packing(g, [d // 2 for d in g.deg], True, context)
         return n - 2 * size, SignedFunction.from_minus_set(n, bits(minus))
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -282,14 +286,15 @@ def _lex_key(plus_mask: int, n: int):
 
 
 class DegreeOrder:
-    """``graph`` relabelled in ascending (degree, index) order, for value-only solves.
+    """``graph`` relabelled in ascending (degree, index) order, for value passes.
 
     Label i is vertex ``order[i]``; ``closed`` holds the closed neighbourhood
     masks in the new labels and ``nbhd`` the same neighbourhoods as ascending
     lists. Branching on low-degree vertices first needs fewer search nodes,
-    but the optimum found first is then not the lexicographically least one,
-    so only ``lex_least=False`` solves take it. One instance serves every
-    such solve on its graph.
+    so every solve finds its optimum value in this order. The optimum found
+    first is not always the lexicographically least set, which a lex-least
+    solve finds in a witness pass in index order. One instance serves every
+    solve on its graph, ``signed_domination`` included.
     """
 
     __slots__ = ("graph", "order", "closed", "nbhd")
@@ -335,9 +340,10 @@ def tuple_domination_number(
 
     D is k-tuple dominating iff its complement S has |N[v] & S| <= deg(v)+1-k
     at every v, so D is the complement of a maximum packing with those caps.
-    The set returned is the lexicographically least minimum D. With
-    ``lex_least=False`` it is just as minimum and valid, but found in the
-    degree order of ``context`` (a ``DegreeOrder`` of g, built here if None).
+    The value is found in the degree order of ``context`` (a ``DegreeOrder``
+    of g, built here if None), and the set returned is the lexicographically
+    least minimum D. With ``lex_least=False`` it is the set of that first
+    pass: just as minimum and valid, but not always lex-least.
     """
     delta = min(g.deg) if g.n else 0
     if not 1 <= k <= delta + 1:
@@ -356,9 +362,10 @@ def limited_packing_number(
 ):
     """Maximum k-limited packing; requires k >= 1.
 
-    The set returned is the lexicographically least maximum one. With
-    ``lex_least=False`` it is just as maximum and valid, but found in the
-    degree order of ``context`` (a ``DegreeOrder`` of g, built here if None).
+    The value is found in the degree order of ``context`` (a ``DegreeOrder``
+    of g, built here if None), and the set returned is the lexicographically
+    least maximum one. With ``lex_least=False`` it is the set of that first
+    pass: just as maximum and valid, but not always lex-least.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -405,41 +412,44 @@ def _neighbour_lists(closed) -> list:
 def _solve_packing(g: Graph, cap, lex_least: bool, context, least_complement: bool = False):
     """The kernel's (|S|, S as a bitmask) on g, with S in g's own labels.
 
-    With ``lex_least`` it branches in index order, and ``least_complement`` is
-    passed on. Otherwise it keeps the first optimum in the degree order of
-    ``context``, or of a ``DegreeOrder`` built here when that is None.
+    The value pass runs on the degree order of ``context``, or of a
+    ``DegreeOrder`` built here when that is None. Without ``lex_least`` it
+    maps that first optimum back to g's labels. With it a witness pass, in
+    index order and bounded to the optimum, returns the lexicographically
+    least optimal S, or with ``least_complement`` the one whose complement is.
     """
-    if lex_least:
-        if context is not None:
-            raise ValueError("a DegreeOrder context serves only lex_least=False solves")
-        return _max_packing(g.closed, _neighbour_lists(g.closed), cap, least_complement)
     if context is None:
         context = DegreeOrder(g)
     elif context.graph is not g:
         raise ValueError("the DegreeOrder context was built for another graph")
     order = context.order
     size, s = _max_packing(context.closed, context.nbhd, [cap[v] for v in order])
+    if lex_least:
+        return _max_packing(g.closed, _neighbour_lists(g.closed), cap, size, least_complement)
     mask = 0
     for i in bits(s):
         mask |= 1 << order[i]
     return size, mask
 
 
-def _max_packing(closed, nbhd, cap, least_complement: bool = False):
+def _max_packing(closed, nbhd, cap, target=None, out_first: bool = False):
     """(|S|, S as a bitmask) for a largest S with |N[v] & S| <= cap[v] at every v.
 
     ``closed`` holds the closed neighbourhood masks of vertices 0..n-1 and
     ``nbhd`` the same neighbourhoods as ascending lists. Branches on vertices
-    in ascending index order. ``room[v]`` is cap[v] - |N[v] & S|, and
+    in ascending label order. ``room[v]`` is cap[v] - |N[v] & S|, and
     ``avail`` holds the undecided vertices whose closed neighborhood has no
     full vertex (room 0); only those can still join S. A node dies when
     ``size + |avail|`` cannot beat the incumbent, or else when a greedy cover
     cannot: it splits ``avail`` into groups N[u] & rest, one centre u per
-    group, and at most room[u] of a group can join S. Trying "in S" first, the
-    first optimum reached is the lexicographically least sorted set. With
-    ``least_complement=True`` a second pass, bounded to that optimum, tries
-    "out of S" first and returns the optimum whose complement is
-    lexicographically least.
+    group, and at most room[u] of a group can join S.
+
+    With ``target=None`` the search keeps the first optimum it reaches. With a
+    ``target`` the incumbent starts at target - 1 and the search stops at the
+    first leaf, a set of at least ``target`` members; RuntimeError if there is
+    none. The bounds prune only subtrees without such a set, so trying "in S"
+    first the first leaf is the lexicographically least set of its size, and
+    with ``out_first`` the one whose complement is lexicographically least.
     """
     n = len(closed)
     room = list(cap)
@@ -449,18 +459,18 @@ def _max_packing(closed, nbhd, cap, least_complement: bool = False):
     for v in range(n):
         if cap[v] <= 0:
             start &= ~closed[v]
-    best = -1
+    best = -1 if target is None else target - 1
     witness = 0
-    in_first = True
+    stop = target is not None
 
     def search(avail: int, size: int, members: int) -> bool:
-        # True stops the search: the bounded second pass keeps its first leaf.
+        # True stops the search: a witness pass keeps its first leaf.
         nonlocal best, witness
         if size + avail.bit_count() <= best:
             return False
         if not avail:
             best, witness = size, members
-            return not in_first
+            return stop
         # Greedy cover: each u in N[w] of an available w has room[u] >= 1.
         bound = size
         rest = avail
@@ -478,7 +488,7 @@ def _max_packing(closed, nbhd, cap, least_complement: bool = False):
         else:
             return False
         low = avail & -avail
-        if not in_first and search(avail ^ low, size, members):
+        if out_first and search(avail ^ low, size, members):
             return True
         nbrs = nbhd[low.bit_length() - 1]
         blocked = low
@@ -489,15 +499,11 @@ def _max_packing(closed, nbhd, cap, least_complement: bool = False):
         found = search(avail & ~blocked, size + 1, members | low)
         for u in nbrs:
             room[u] += 1
-        return found or (in_first and search(avail ^ low, size, members))
+        return found or (not out_first and search(avail ^ low, size, members))
 
     try:
-        search(start, 0, 0)
-        if least_complement:
-            in_first = False
-            best -= 1
-            if not search(start, 0, 0):
-                raise RuntimeError("optimum value has no witness; search inconsistency")
+        if not search(start, 0, 0) and stop:
+            raise RuntimeError(f"no set of {target} or more members; search inconsistency")
     finally:
         # search refers to itself through its closure cell; clearing the cell
         # frees it at once instead of leaving a cycle to the garbage collector.

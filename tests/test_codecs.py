@@ -48,8 +48,17 @@ def test_edgelist_self_loop_reports_line():
 
 
 def test_edgelist_duplicate_edge():
-    with pytest.raises(GraphFormatError, match="duplicate"):
+    with pytest.raises(GraphFormatError, match=r"duplicate edge \(0,1\).*line 3"):
         parse_graph("3 2\n0 1\n1 0\n", "edgelist")
+
+
+def test_edgelist_round_trip_at_the_vertex_cap():
+    # K512 has 130,816 edges: this finishes in seconds only if each duplicate check is O(1).
+    g = complete_graph(512)
+    text = serialize_graph(g, "edgelist")
+    assert parse_graph(text, "edgelist") == g
+    with pytest.raises(GraphFormatError, match=r"duplicate edge \(0,1\).*line 130818"):
+        parse_graph(text.replace("512 130816", "512 130817", 1) + "1 0\n", "edgelist")
 
 
 def test_edgelist_vertex_out_of_range():

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from itertools import combinations
 
 import pytest
 
@@ -27,6 +28,8 @@ from signeddom import (
     verify_sdf,
     vertex_set_violations,
 )
+from signeddom.graphs import mask_of
+from signeddom.solvers import _max_packing, _neighbour_lists
 
 
 def _small_corpus():
@@ -233,28 +236,35 @@ def test_packing_fixed_values():
 @pytest.mark.parametrize("n", range(10, 15))
 def test_dense_graphs_match_brute_force(n):
     # Dense graphs are where the kernel's greedy cover bound prunes: every
-    # value and lex-least witness must still be the brute-force one.
+    # value and lex-least witness must still be the brute-force one, also
+    # when every solve shares one DegreeOrder as in the audit.
     for p in (0.7, 0.9):
         g = random_connected(n, p, derive_seed(4242, 10 * n + round(10 * p)))
+        order = DegreeOrder(g)
         value, witness = signed_domination(g)
         assert (value, witness) == signed_domination(g, "oracle")
+        assert signed_domination(g, context=order) == (value, witness)
         bv, bs = oracles.brute_min_tuple_dominating(g, 1)
         value, witness = domination_number(g)
         assert (value, witness.sorted_members()) == (bv, bs)
+        assert domination_number(g, context=order) == (value, witness)
         _check_value_only(g, bv, domination_number(g, lex_least=False))
         for k in range(1, min(g.deg) + 2):
             bv, bs = oracles.brute_min_tuple_dominating(g, k)
             value, witness = tuple_domination_number(g, k)
             assert (value, witness.sorted_members()) == (bv, bs), (p, k)
+            assert tuple_domination_number(g, k, context=order) == (value, witness), (p, k)
             _check_value_only(g, bv, tuple_domination_number(g, k, lex_least=False))
         for k in range(1, max(g.deg) // 2 + 2):
             bv, bs = oracles.brute_max_limited_packing(g, k)
             value, witness = limited_packing_number(g, k)
             assert (value, witness.sorted_members()) == (bv, bs), (p, k)
+            assert limited_packing_number(g, k, context=order) == (value, witness), (p, k)
             _check_value_only(g, bv, limited_packing_number(g, k, lex_least=False))
         bv, bs = oracles.brute_max_packing(g)
         value, witness = packing_number(g)
         assert (value, witness.sorted_members()) == (bv, bs)
+        assert packing_number(g, context=order) == (value, witness)
         _check_value_only(g, bv, packing_number(g, lex_least=False))
 
 
@@ -289,7 +299,7 @@ def test_subset_solvers_match_brute_force():
 
 
 def test_value_only_domination_keeps_values():
-    # lex_least=False skips the second pass: same value, and a valid minimum set.
+    # lex_least=False skips the witness pass: same value, and a valid minimum set.
     for g in _small_corpus():
         delta = min(g.deg) if g.n else 0
         for k in range(1, delta + 2):
@@ -328,10 +338,64 @@ def test_degree_order_context_is_checked():
     g = path_graph(5)
     order = DegreeOrder(g)
     assert packing_number(g, lex_least=False, context=order) == packing_number(g, lex_least=False)
-    with pytest.raises(ValueError, match="only lex_least=False"):
-        packing_number(g, context=order)
+    # Lex-least solves and signed_domination take a shared context too.
+    for g in (path_graph(5), cycle_graph(7), random_connected(10, 0.5, derive_seed(31, 10))):
+        order = DegreeOrder(g)
+        assert signed_domination(g, context=order) == signed_domination(g)
+        assert domination_number(g, context=order) == domination_number(g)
+        assert tuple_domination_number(g, 2, context=order) == tuple_domination_number(g, 2)
+        assert limited_packing_number(g, 2, context=order) == limited_packing_number(g, 2)
+        assert packing_number(g, context=order) == packing_number(g)
     with pytest.raises(ValueError, match="another graph"):
-        domination_number(path_graph(5), lex_least=False, context=order)
+        domination_number(path_graph(5), lex_least=False, context=DegreeOrder(path_graph(5)))
+    with pytest.raises(ValueError, match="another graph"):
+        signed_domination(cycle_graph(7), context=DegreeOrder(cycle_graph(7)))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_kernel_witness_pass(k):
+    # Caps deg + 1 - k: S is the complement of a k-tuple dominating set, and
+    # the two witness orders pick different optimal sets.
+    for i in range(4):
+        g = random_connected(9, 0.5, derive_seed(515, i))
+        closed = oracles.closed_neighborhoods(g)
+        cap = [d + 1 - k for d in g.deg]
+        args = (g.closed, _neighbour_lists(g.closed), cap)
+        best, _ = _max_packing(*args)
+        feasible = [
+            set(c)
+            for c in combinations(range(g.n), best)
+            if all(len(closed[v] & set(c)) <= cap[v] for v in range(g.n))
+        ]
+        least = min(feasible, key=sorted)
+        least_complement = min(feasible, key=lambda c: sorted(set(range(g.n)) - c))
+        assert _max_packing(*args, target=best) == (best, mask_of(least))
+        assert _max_packing(*args, target=best, out_first=True) == (best, mask_of(least_complement))
+        for out_first in (False, True):
+            with pytest.raises(RuntimeError, match="search inconsistency"):
+                _max_packing(*args, target=best + 1, out_first=out_first)
+
+
+# Witnesses of the single-pass index-order kernel, above the oracle's n <= 20:
+# (n, p, gamma_s, witness) for random_connected(n, p, derive_seed(2718, 100 n + 10 p)).
+PINNED_WITNESSES = [
+    (22, 0.3, 4, "+-++-+++-++--+-++--++-"),
+    (22, 0.9, 2, "-----+---+++++++++-+-+"),
+    (23, 0.5, 3, "-+----++++---++++-+++-+"),
+    (24, 0.7, 2, "-++++++-+-++--+-++--+---"),
+    (24, 0.3, 6, "---+++--+++--+++-+++-+++"),
+    (25, 0.9, 1, "-+-+--+-++++-++++---+--+-"),
+    (26, 0.5, 4, "----+++----++-+-+++++++++-"),
+    (26, 0.7, 2, "---+-+--+++-++-++-++--++-+"),
+]
+
+
+@pytest.mark.parametrize("n,p,value,witness", PINNED_WITNESSES)
+def test_signed_domination_pinned_witnesses(n, p, value, witness):
+    g = random_connected(n, p, derive_seed(2718, 100 * n + round(10 * p)))
+    result = signed_domination(g, context=DegreeOrder(g))
+    assert (result[0], str(result[1])) == (value, witness)
+    assert signed_domination(g) == result
 
 
 def test_subset_solver_cap():
@@ -356,8 +420,6 @@ def test_vertex_set_violations_roles():
 
 def test_exhaustive_all_small_graphs():
     # every labeled graph on up to 5 vertices, including disconnected ones
-    from itertools import combinations
-
     for n in (1, 2, 3, 4, 5):
         pairs = list(combinations(range(n), 2))
         for mask in range(1 << len(pairs)):
@@ -406,6 +468,7 @@ def test_solvers_leave_no_cyclic_garbage():
             packing_number(g)
             domination_number(g, lex_least=False)
             order = DegreeOrder(g)
+            signed_domination(g, context=order)
             tuple_domination_number(g, 2, lex_least=False, context=order)
             limited_packing_number(g, 2, lex_least=False, context=order)
             packing_number(g, lex_least=False, context=order)
@@ -415,10 +478,10 @@ def test_solvers_leave_no_cyclic_garbage():
 
 
 def _audit_solves(g):
-    # The audit's solves: gamma_s, and the value-only ones from one DegreeOrder.
+    # The audit's solves: gamma_s and the value-only ones, from one DegreeOrder.
     order = DegreeOrder(g)
     return (
-        signed_domination(g),
+        signed_domination(g, context=order),
         domination_number(g, lex_least=False, context=order),
         packing_number(g, lex_least=False, context=order),
         limited_packing_number(g, 3, lex_least=False, context=order),
