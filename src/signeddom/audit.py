@@ -39,7 +39,6 @@ from .solvers import (
     BNB_CAP,
     ROLE_LIMITED_PACKING,
     ROLE_TUPLE_DOMINATING,
-    DegreeOrder,
     SignedFunction,
     VertexSet,
     domination_number,
@@ -48,6 +47,7 @@ from .solvers import (
     partition_stats,
     signed_domination,
     tuple_domination_number,
+    verify_sdf,
     vertex_set_violations,
 )
 
@@ -296,29 +296,28 @@ def audit_graph(
     and the invariant checks skipped. Output is deterministic per graph.
     Graphs with n > ``bnb_cap`` raise SizeCapError from the solvers.
 
-    One ``DegreeOrder`` of g, built here and dropped on return, serves every
-    solve: the gamma_s solve's value pass, the subset solvers and the chain
-    checks. The report carries subset values only, so those run with
+    Every solve runs back to back on g, so all of them, the chain checks
+    included, share the solvers' one degree-order relabelling of g. The
+    gamma_s witness is re-checked with ``verify_sdf`` and its weight against
+    gamma_s. The report carries subset values only, so those run with
     ``lex_least=False``; every subset value is still re-checked against the
-    set found for it (see ``_certify_sets``).
+    set found for it (see ``_certify_sets``). A failed re-check raises
+    BoundViolation.
     """
     profile = structural_profile(g)
     g6 = serialize_graph(g, "graph6") if g.n <= 62 else ""
     if graph_id is None:
         graph_id = g6
 
-    order = DegreeOrder(g)
-    gamma_s, witness = signed_domination(g, "branch_and_bound", bnb_cap=bnb_cap, context=order)
-    gamma, gamma_set = domination_number(g, cap=bnb_cap, lex_least=False, context=order)
-    rho, rho_set = packing_number(g, cap=bnb_cap, lex_least=False, context=order)
+    gamma_s, witness = signed_domination(g, "branch_and_bound", bnb_cap=bnb_cap)
+    gamma, gamma_set = domination_number(g, cap=bnb_cap, lex_least=False)
+    rho, rho_set = packing_number(g, cap=bnb_cap, lex_least=False)
     lp_k = profile.delta // 2 if profile.delta >= 2 else None
     lp_value, lp_set = None, None
     if lp_k is not None:
-        lp_value, lp_set = limited_packing_number(g, lp_k, cap=bnb_cap, lex_least=False, context=order)
+        lp_value, lp_set = limited_packing_number(g, lp_k, cap=bnb_cap, lex_least=False)
     tuple_k = (profile.delta + 1) // 2 + 1
-    tuple_value, tuple_set = tuple_domination_number(
-        g, tuple_k, cap=bnb_cap, lex_least=False, context=order
-    )
+    tuple_value, tuple_set = tuple_domination_number(g, tuple_k, cap=bnb_cap, lex_least=False)
 
     report = BoundReport(
         graph_id=graph_id,
@@ -335,6 +334,13 @@ def audit_graph(
         tuple_k=tuple_k,
         tuple_value=tuple_value,
     )
+    bad = verify_sdf(g, witness)
+    if bad or witness.weight != gamma_s:
+        raise BoundViolation(
+            f"gamma_s = {gamma_s} has a witness of weight {witness.weight} invalid at vertices {bad}",
+            g6,
+            report,
+        )
     _certify_sets(
         g,
         report,
@@ -370,7 +376,7 @@ def audit_graph(
         if satisfied and gap == 0:
             report.sharp.append(b.name)
 
-    report.checks = _invariant_checks(g, profile, report, order)
+    report.checks = _invariant_checks(g, profile, report)
     return report
 
 
@@ -388,9 +394,7 @@ def _certify_sets(g: Graph, report: BoundReport, certified) -> None:
             )
 
 
-def _invariant_checks(
-    g: Graph, profile: StructuralProfile, report: BoundReport, order: DegreeOrder
-) -> dict:
+def _invariant_checks(g: Graph, profile: StructuralProfile, report: BoundReport) -> dict:
     witness = report.witness
     minus = witness.minus_set
     stats = partition_stats(g, witness)
@@ -426,18 +430,18 @@ def _invariant_checks(
         checks["eq2"] = None
 
     if g.n <= CHAIN_CHECK_MAX_N:
-        checks["chain_Lk"] = _check_limited_packing_chain(g, profile, order)
-        checks["chain_tuple"] = _check_tuple_chain(g, profile, order)
+        checks["chain_Lk"] = _check_limited_packing_chain(g, profile)
+        checks["chain_tuple"] = _check_tuple_chain(g, profile)
     else:
         checks["chain_Lk"] = None
         checks["chain_tuple"] = None
     return checks
 
 
-def _check_limited_packing_chain(g: Graph, profile: StructuralProfile, order: DegreeOrder) -> bool:
+def _check_limited_packing_chain(g: Graph, profile: StructuralProfile) -> bool:
     prev = None
     for k in range(1, profile.Delta // 2 + 2):
-        value, _ = limited_packing_number(g, k, lex_least=False, context=order)
+        value, _ = limited_packing_number(g, k, lex_least=False)
         if prev is not None and prev < g.n and value < prev + 1:
             return False
         if value == g.n:
@@ -446,10 +450,10 @@ def _check_limited_packing_chain(g: Graph, profile: StructuralProfile, order: De
     return True
 
 
-def _check_tuple_chain(g: Graph, profile: StructuralProfile, order: DegreeOrder) -> bool:
+def _check_tuple_chain(g: Graph, profile: StructuralProfile) -> bool:
     prev = None
     for k in range(1, profile.delta + 2):
-        value, _ = tuple_domination_number(g, k, lex_least=False, context=order)
+        value, _ = tuple_domination_number(g, k, lex_least=False)
         if prev is not None and value < prev + 1:
             return False
         prev = value

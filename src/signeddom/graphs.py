@@ -132,7 +132,6 @@ class StructuralProfile:
     core: frozenset = field(repr=False)
     delta_star: int | None = None
     odd_vertices: frozenset = field(default=frozenset(), repr=False)
-    even_vertices: frozenset = field(default=frozenset(), repr=False)
     is_connected: bool = False
     is_tree: bool = False
 
@@ -150,7 +149,7 @@ class StructuralProfile:
 
 
 def structural_profile(g: Graph) -> StructuralProfile:
-    """Compute degrees, leaf/support/core partition, and parity classes."""
+    """Compute degrees, leaf/support/core partition, and the odd-degree vertices."""
     n = g.n
     deg = g.deg
     delta = min(deg) if n else 0
@@ -162,7 +161,6 @@ def structural_profile(g: Graph) -> StructuralProfile:
     core = frozenset(range(n)) - isolated - leaves - supports
     delta_star = min((deg[v] for v in core), default=None)
     odd = frozenset(v for v in range(n) if deg[v] % 2 == 1)
-    even = frozenset(range(n)) - odd
     connected = g.is_connected()
     return StructuralProfile(
         n=n,
@@ -175,7 +173,6 @@ def structural_profile(g: Graph) -> StructuralProfile:
         core=core,
         delta_star=delta_star,
         odd_vertices=odd,
-        even_vertices=even,
         is_connected=connected,
         is_tree=connected and n >= 1 and g.m == n - 1,
     )

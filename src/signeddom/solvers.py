@@ -8,7 +8,9 @@ v. One branch-and-bound kernel, ``_max_packing``, solves it.
 
 Every solve runs the kernel twice at most. The value pass branches on the
 graph relabelled in ascending (degree, index) order by a ``DegreeOrder``,
-which needs fewer search nodes, and finds the optimum. A lex-least solve then
+which needs fewer search nodes, and finds the optimum. ``_solve_packing``
+derives that relabelling itself and keeps the one of the graph it solved
+last, so back-to-back solves on one graph share it. A lex-least solve then
 runs a witness pass in ascending index order, bounded to that optimum, which
 stops at its first leaf: trying "in S" first, the lexicographically least
 optimal S, and for the domination side, trying "out of S" first, the optimal S
@@ -145,21 +147,17 @@ def vertex_set_violations(g: Graph, vs: VertexSet) -> list:
 
 @dataclass(frozen=True)
 class PartitionStats:
-    """Edge and parity statistics of the sign partition induced by an assignment."""
+    """Edge statistics of the sign partition induced by an assignment."""
 
     e_plus: int
     e_minus: int
     cut: int
-    odd_plus: frozenset
-    odd_minus: frozenset
-    even_plus: frozenset
-    even_minus: frozenset
     deg_plus: tuple
     deg_minus: tuple
 
 
 def partition_stats(g: Graph, f: SignedFunction) -> PartitionStats:
-    """Count edges inside each sign class and across the cut, split parities."""
+    """Count edges inside each sign class and across the cut."""
     if f.n != g.n:
         raise ValueError(f"assignment length {f.n} != vertex count {g.n}")
     plus = f.plus_mask
@@ -169,16 +167,10 @@ def partition_stats(g: Graph, f: SignedFunction) -> PartitionStats:
     e_plus = sum(deg_plus[v] for v in bits(plus)) // 2
     e_minus = sum(deg_minus[v] for v in bits(minus)) // 2
     cut = sum(deg_minus[v] for v in bits(plus))
-    odd = frozenset(v for v in range(g.n) if g.deg[v] % 2 == 1)
-    even = frozenset(range(g.n)) - odd
     return PartitionStats(
         e_plus=e_plus,
         e_minus=e_minus,
         cut=cut,
-        odd_plus=odd & f.plus_set,
-        odd_minus=odd & f.minus_set,
-        even_plus=even & f.plus_set,
-        even_minus=even & f.minus_set,
         deg_plus=deg_plus,
         deg_minus=deg_minus,
     )
@@ -211,7 +203,6 @@ def signed_domination(
     mode: str = "branch_and_bound",
     oracle_cap: int = ORACLE_CAP,
     bnb_cap: int = BNB_CAP,
-    context: DegreeOrder | None = None,
 ):
     """Minimum-weight valid sign assignment, with its witness.
 
@@ -219,9 +210,9 @@ def signed_domination(
     vertices are pinned to +1 by validity, so the optimum is n with the all-+1
     witness. Otherwise dispatches on ``mode`` ("oracle" enumerates all 2^n
     assignments; "branch_and_bound" takes V- as a maximum packing with
-    capacities floor(deg/2), its value found in the degree order of
-    ``context``, a ``DegreeOrder`` of g built here if None). Both modes return
-    the lexicographically smallest optimal assignment (-1 < +1 per index).
+    capacities floor(deg/2), its value found in ascending-degree order). Both
+    modes return the lexicographically smallest optimal assignment (-1 < +1
+    per index).
     """
     n = g.n
     if forced_plus_mask(g) == g.full_mask:
@@ -231,9 +222,7 @@ def signed_domination(
             raise SizeCapError(f"oracle mode capped at n <= {oracle_cap}, got {n}")
         return _sdf_oracle(g)
     if mode in ("branch_and_bound", "bnb"):
-        if n > bnb_cap:
-            raise SizeCapError(f"branch-and-bound capped at n <= {bnb_cap}, got {n}")
-        size, minus = _solve_packing(g, [d // 2 for d in g.deg], True, context)
+        size, minus = _solve_packing(g, [d // 2 for d in g.deg], bnb_cap, True)
         return n - 2 * size, SignedFunction.from_minus_set(n, bits(minus))
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -293,8 +282,9 @@ class DegreeOrder:
     lists. Branching on low-degree vertices first needs fewer search nodes,
     so every solve finds its optimum value in this order. The optimum found
     first is not always the lexicographically least set, which a lex-least
-    solve finds in a witness pass in index order. One instance serves every
-    solve on its graph, ``signed_domination`` included.
+    solve finds in a witness pass in index order. ``_solve_packing`` builds
+    one per graph and keeps the last, so consecutive solves on one graph,
+    ``signed_domination`` included, share it.
     """
 
     __slots__ = ("graph", "order", "closed", "nbhd")
@@ -318,70 +308,51 @@ class DegreeOrder:
         self.nbhd = nbhd
 
 
-def domination_number(
-    g: Graph, cap: int = BNB_CAP, lex_least: bool = True, context: DegreeOrder | None = None
-):
+def domination_number(g: Graph, cap: int = BNB_CAP, lex_least: bool = True):
     """Minimum dominating set (gamma = gamma_x1); isolated vertices are members.
 
-    ``lex_least`` and ``context`` are passed to ``tuple_domination_number``.
+    ``lex_least`` is passed to ``tuple_domination_number``.
     """
-    size, vs = tuple_domination_number(g, 1, cap, lex_least, context)
+    size, vs = tuple_domination_number(g, 1, cap, lex_least)
     return size, VertexSet(vs.members, ROLE_DOMINATING)
 
 
-def tuple_domination_number(
-    g: Graph,
-    k: int,
-    cap: int = BNB_CAP,
-    lex_least: bool = True,
-    context: DegreeOrder | None = None,
-):
+def tuple_domination_number(g: Graph, k: int, cap: int = BNB_CAP, lex_least: bool = True):
     """Minimum k-tuple dominating set; requires 1 <= k <= delta + 1.
 
     D is k-tuple dominating iff its complement S has |N[v] & S| <= deg(v)+1-k
     at every v, so D is the complement of a maximum packing with those caps.
-    The value is found in the degree order of ``context`` (a ``DegreeOrder``
-    of g, built here if None), and the set returned is the lexicographically
-    least minimum D. With ``lex_least=False`` it is the set of that first
-    pass: just as minimum and valid, but not always lex-least.
+    The value is found in ascending-degree order, and the set returned is the
+    lexicographically least minimum D. With ``lex_least=False`` it is the set
+    of that first pass: just as minimum and valid, but not always lex-least.
     """
     delta = min(g.deg) if g.n else 0
     if not 1 <= k <= delta + 1:
         raise ValueError(f"k must satisfy 1 <= k <= delta+1 = {delta + 1}, got {k}")
-    _check_size_cap(g, cap)
-    size, s = _solve_packing(g, [d + 1 - k for d in g.deg], lex_least, context, least_complement=True)
+    size, s = _solve_packing(g, [d + 1 - k for d in g.deg], cap, lex_least, least_complement=True)
     return g.n - size, VertexSet(frozenset(bits(g.full_mask & ~s)), ROLE_TUPLE_DOMINATING, k)
 
 
-def limited_packing_number(
-    g: Graph,
-    k: int,
-    cap: int = BNB_CAP,
-    lex_least: bool = True,
-    context: DegreeOrder | None = None,
-):
+def limited_packing_number(g: Graph, k: int, cap: int = BNB_CAP, lex_least: bool = True):
     """Maximum k-limited packing; requires k >= 1.
 
-    The value is found in the degree order of ``context`` (a ``DegreeOrder``
-    of g, built here if None), and the set returned is the lexicographically
-    least maximum one. With ``lex_least=False`` it is the set of that first
-    pass: just as maximum and valid, but not always lex-least.
+    The value is found in ascending-degree order, and the set returned is the
+    lexicographically least maximum one. With ``lex_least=False`` it is the
+    set of that first pass: just as maximum and valid, but not always
+    lex-least.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    _check_size_cap(g, cap)
-    size, s = _solve_packing(g, [k] * g.n, lex_least, context)
+    size, s = _solve_packing(g, [k] * g.n, cap, lex_least)
     return size, VertexSet(frozenset(bits(s)), ROLE_LIMITED_PACKING, k)
 
 
-def packing_number(
-    g: Graph, cap: int = BNB_CAP, lex_least: bool = True, context: DegreeOrder | None = None
-):
+def packing_number(g: Graph, cap: int = BNB_CAP, lex_least: bool = True):
     """Maximum packing (pairwise-disjoint closed neighborhoods); equals L_1.
 
-    ``lex_least`` and ``context`` are passed to ``limited_packing_number``.
+    ``lex_least`` is passed to ``limited_packing_number``.
     """
-    size, vs = limited_packing_number(g, 1, cap, lex_least, context)
+    size, vs = limited_packing_number(g, 1, cap, lex_least)
     return size, VertexSet(vs.members, ROLE_PACKING)
 
 
@@ -397,11 +368,6 @@ def greedy_limited_packing_mask(g: Graph, k: int) -> int:
     return mask
 
 
-def _check_size_cap(g: Graph, cap: int) -> None:
-    if g.n > cap:
-        raise SizeCapError(f"subset solvers capped at n <= {cap}, got {g.n}")
-
-
 def _neighbour_lists(closed) -> list:
     """The members of each closed neighbourhood mask, in ascending order."""
     # Lists, not tuples built from generators: those are resized as they grow
@@ -409,21 +375,30 @@ def _neighbour_lists(closed) -> list:
     return [list(bits(c)) for c in closed]
 
 
-def _solve_packing(g: Graph, cap, lex_least: bool, context, least_complement: bool = False):
+# The DegreeOrder of the graph solved last. One slot: it serves back-to-back
+# solves on one graph, as in an audit, and keeps no graph but that one alive.
+# A thread that loses a race on it builds one order more, never a wrong one.
+_last_order: DegreeOrder | None = None
+
+
+def _solve_packing(g: Graph, cap, n_max: int, lex_least: bool, least_complement: bool = False):
     """The kernel's (|S|, S as a bitmask) on g, with S in g's own labels.
 
-    The value pass runs on the degree order of ``context``, or of a
-    ``DegreeOrder`` built here when that is None. Without ``lex_least`` it
-    maps that first optimum back to g's labels. With it a witness pass, in
-    index order and bounded to the optimum, returns the lexicographically
-    least optimal S, or with ``least_complement`` the one whose complement is.
+    SizeCapError when g has more than ``n_max`` vertices. The value pass runs
+    on g's ``DegreeOrder``, reused when g is the graph solved last. Without
+    ``lex_least`` it maps that first optimum back to g's labels. With it a
+    witness pass, in index order and bounded to the optimum, returns the
+    lexicographically least optimal S, or with ``least_complement`` the one
+    whose complement is.
     """
-    if context is None:
-        context = DegreeOrder(g)
-    elif context.graph is not g:
-        raise ValueError("the DegreeOrder context was built for another graph")
-    order = context.order
-    size, s = _max_packing(context.closed, context.nbhd, [cap[v] for v in order])
+    global _last_order
+    if g.n > n_max:
+        raise SizeCapError(f"branch-and-bound capped at n <= {n_max}, got {g.n}")
+    relabel = _last_order
+    if relabel is None or relabel.graph is not g:
+        relabel = _last_order = DegreeOrder(g)
+    order = relabel.order
+    size, s = _max_packing(relabel.closed, relabel.nbhd, [cap[v] for v in order])
     if lex_least:
         return _max_packing(g.closed, _neighbour_lists(g.closed), cap, size, least_complement)
     mask = 0

@@ -9,19 +9,22 @@ import signeddom.audit as audit_mod
 from signeddom import (
     BoundViolation,
     CorpusSpec,
-    DegreeOrder,
     Graph,
+    SignedFunction,
     SizeCapError,
     audit_corpus,
     audit_graph,
     complete_graph,
     cycle_graph,
+    derive_seed,
     hunt,
     iter_corpus,
     parse_graph,
     path_graph,
+    random_connected,
     serialize_graph,
     star_graph,
+    structural_profile,
     verify_sdf,
 )
 from signeddom.audit import CSV_HEADER
@@ -238,6 +241,46 @@ def test_subset_certificate_of_wrong_size_aborts(monkeypatch):
         audit_graph(cycle_graph(6), "C6")
 
 
+def _tamper_gamma_s(monkeypatch, tamper):
+    real = audit_mod.signed_domination
+    monkeypatch.setattr(audit_mod, "signed_domination", lambda *a, **k: tamper(*real(*a, **k)))
+
+
+def test_invalid_gamma_s_witness_aborts(monkeypatch):
+    # C6 has gamma_s = 2; flipping the witness's first + to - keeps the
+    # claimed value but breaks the closed neighbourhood sums.
+    def flip(value, f):
+        minus = set(f.minus_set) | {f.assignment.index(1)}
+        return value, SignedFunction.from_minus_set(f.n, minus)
+
+    _tamper_gamma_s(monkeypatch, flip)
+    with pytest.raises(BoundViolation, match="gamma_s = 2 has a witness of weight 0 invalid"):
+        audit_graph(cycle_graph(6), "C6")
+
+
+def test_gamma_s_off_its_witness_aborts(monkeypatch):
+    # The true witness of C6, with a value 2 too high.
+    _tamper_gamma_s(monkeypatch, lambda value, f: (value + 2, f))
+    with pytest.raises(BoundViolation, match=r"gamma_s = 4 has a witness of weight 2 invalid at vertices \[\]"):
+        audit_graph(cycle_graph(6), "C6")
+
+
+def test_audit_builds_one_degree_order_per_graph(degree_order_builds):
+    chained = random_connected(10, 0.5, derive_seed(5, 10))
+    assert audit_graph(chained).checks["chain_tuple"] is True
+    assert degree_order_builds == [chained]
+    tree = star_graph(5)
+    assert structural_profile(tree).delta_star is None
+    audit_graph(tree)
+    assert degree_order_builds == [chained, tree]
+    degree_order_builds.clear()
+    spec = CorpusSpec(kind="trees_exhaustive", n_min=2, n_max=5)
+    summary = audit_corpus(spec)
+    trees = [g for _, g in iter_corpus(spec)]
+    assert len(trees) == summary["graphs"] == 145
+    assert degree_order_builds == trees
+
+
 def test_invalid_subset_certificate_aborts_in_a_pool(monkeypatch):
     # The BoundViolation raised in a worker arrives whole; workers fork after the patch.
     _tamper_sets(monkeypatch, "tuple_domination_number", range)
@@ -336,7 +379,7 @@ def test_empty_core_with_minus_vertices_aborts():
     report = audit_graph(g, "C6")
     profile = dataclasses.replace(report.profile, delta_star=None)
     with pytest.raises(BoundViolation, match="empty core"):
-        audit_mod._invariant_checks(g, profile, report, DegreeOrder(g))
+        audit_mod._invariant_checks(g, profile, report)
 
 
 def test_hunt_complete_thm3_3():

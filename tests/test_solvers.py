@@ -1,12 +1,13 @@
 import gc
 import tracemalloc
+from functools import partial
 from itertools import combinations
 
 import pytest
 
 import oracles
+import signeddom.solvers as solvers
 from signeddom import (
-    DegreeOrder,
     Graph,
     SignedFunction,
     SizeCapError,
@@ -29,7 +30,7 @@ from signeddom import (
     vertex_set_violations,
 )
 from signeddom.graphs import mask_of
-from signeddom.solvers import _max_packing, _neighbour_lists
+from signeddom.solvers import DegreeOrder, _max_packing, _neighbour_lists
 
 
 def _small_corpus():
@@ -85,7 +86,6 @@ def test_partition_stats_c6_pattern():
     assert stats.e_plus == 2
     assert stats.e_minus == 0
     assert stats.cut == 4
-    assert not stats.odd_plus and not stats.odd_minus
 
 
 def test_partition_stats_all_plus():
@@ -236,35 +236,28 @@ def test_packing_fixed_values():
 @pytest.mark.parametrize("n", range(10, 15))
 def test_dense_graphs_match_brute_force(n):
     # Dense graphs are where the kernel's greedy cover bound prunes: every
-    # value and lex-least witness must still be the brute-force one, also
-    # when every solve shares one DegreeOrder as in the audit.
+    # value and lex-least witness must still be the brute-force one.
     for p in (0.7, 0.9):
         g = random_connected(n, p, derive_seed(4242, 10 * n + round(10 * p)))
-        order = DegreeOrder(g)
         value, witness = signed_domination(g)
         assert (value, witness) == signed_domination(g, "oracle")
-        assert signed_domination(g, context=order) == (value, witness)
         bv, bs = oracles.brute_min_tuple_dominating(g, 1)
         value, witness = domination_number(g)
         assert (value, witness.sorted_members()) == (bv, bs)
-        assert domination_number(g, context=order) == (value, witness)
         _check_value_only(g, bv, domination_number(g, lex_least=False))
         for k in range(1, min(g.deg) + 2):
             bv, bs = oracles.brute_min_tuple_dominating(g, k)
             value, witness = tuple_domination_number(g, k)
             assert (value, witness.sorted_members()) == (bv, bs), (p, k)
-            assert tuple_domination_number(g, k, context=order) == (value, witness), (p, k)
             _check_value_only(g, bv, tuple_domination_number(g, k, lex_least=False))
         for k in range(1, max(g.deg) // 2 + 2):
             bv, bs = oracles.brute_max_limited_packing(g, k)
             value, witness = limited_packing_number(g, k)
             assert (value, witness.sorted_members()) == (bv, bs), (p, k)
-            assert limited_packing_number(g, k, context=order) == (value, witness), (p, k)
             _check_value_only(g, bv, limited_packing_number(g, k, lex_least=False))
         bv, bs = oracles.brute_max_packing(g)
         value, witness = packing_number(g)
         assert (value, witness.sorted_members()) == (bv, bs)
-        assert packing_number(g, context=order) == (value, witness)
         _check_value_only(g, bv, packing_number(g, lex_least=False))
 
 
@@ -326,30 +319,60 @@ def test_value_only_sets_follow_the_degree_order():
     # The house: square 0-1-2-3 with roof 4 on 2 and 3. The degree-2 vertices
     # come first, so S takes 0, 1 and 4 where it can.
     g = Graph(5, [(0, 1), (0, 3), (1, 2), (2, 3), (2, 4), (3, 4)])
-    order = DegreeOrder(g)
-    assert order.order == [0, 1, 4, 2, 3]
+    assert DegreeOrder(g).order == [0, 1, 4, 2, 3]
     assert domination_number(g)[1].sorted_members() == (0, 2)
-    assert domination_number(g, lex_least=False, context=order)[1].sorted_members() == (2, 3)
+    assert domination_number(g, lex_least=False)[1].sorted_members() == (2, 3)
     assert tuple_domination_number(g, 2)[1].sorted_members() == (0, 2, 3)
-    assert tuple_domination_number(g, 2, lex_least=False, context=order)[1].sorted_members() == (1, 2, 3)
+    assert tuple_domination_number(g, 2, lex_least=False)[1].sorted_members() == (1, 2, 3)
 
 
-def test_degree_order_context_is_checked():
-    g = path_graph(5)
-    order = DegreeOrder(g)
-    assert packing_number(g, lex_least=False, context=order) == packing_number(g, lex_least=False)
-    # Lex-least solves and signed_domination take a shared context too.
-    for g in (path_graph(5), cycle_graph(7), random_connected(10, 0.5, derive_seed(31, 10))):
-        order = DegreeOrder(g)
-        assert signed_domination(g, context=order) == signed_domination(g)
-        assert domination_number(g, context=order) == domination_number(g)
-        assert tuple_domination_number(g, 2, context=order) == tuple_domination_number(g, 2)
-        assert limited_packing_number(g, 2, context=order) == limited_packing_number(g, 2)
-        assert packing_number(g, context=order) == packing_number(g)
-    with pytest.raises(ValueError, match="another graph"):
-        domination_number(path_graph(5), lex_least=False, context=DegreeOrder(path_graph(5)))
-    with pytest.raises(ValueError, match="another graph"):
-        signed_domination(cycle_graph(7), context=DegreeOrder(cycle_graph(7)))
+# Every solver, lex-least and value-only.
+SOLVES = (
+    signed_domination,
+    domination_number,
+    partial(domination_number, lex_least=False),
+    partial(tuple_domination_number, k=2),
+    partial(tuple_domination_number, k=2, lex_least=False),
+    partial(limited_packing_number, k=2),
+    partial(limited_packing_number, k=2, lex_least=False),
+    packing_number,
+    partial(packing_number, lex_least=False),
+)
+
+
+def test_interleaved_solves_match_fresh_ones(monkeypatch):
+    # Two graphs with the same n and different edges, and an equal copy of
+    # the first: the relabelling kept for one must never serve another.
+    g = random_connected(10, 0.5, derive_seed(31, 10))
+    h = random_connected(10, 0.5, derive_seed(31, 11))
+    copy = Graph(g.n, g.edges)
+    assert g.edges != h.edges and copy == g and copy is not g
+    assert all(solvers.forced_plus_mask(x) != x.full_mask for x in (g, h))
+    fresh = {}
+    for x in (g, h, copy):
+        for i, solve in enumerate(SOLVES):
+            monkeypatch.setattr(solvers, "_last_order", None)
+            fresh[id(x), i] = solve(x)
+    for x in (g, copy, g, h, h, copy, g):
+        for i, solve in enumerate(SOLVES):
+            assert solve(x) == fresh[id(x), i], i
+    for i, solve in enumerate(SOLVES):
+        for x in (h, g, copy):
+            assert solve(x) == fresh[id(x), i], i
+
+
+def test_degree_order_is_built_once_per_graph(degree_order_builds):
+    g = random_connected(9, 0.5, derive_seed(8, 9))
+    for solve in SOLVES:
+        solve(g)
+    assert degree_order_builds == [g]
+    copy = Graph(g.n, g.edges)
+    domination_number(copy)
+    assert degree_order_builds == [g, copy] and degree_order_builds[1] is copy
+    # The size cap is checked before anything is built.
+    with pytest.raises(SizeCapError, match="capped"):
+        domination_number(cycle_graph(41))
+    assert len(degree_order_builds) == 2
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -393,7 +416,7 @@ PINNED_WITNESSES = [
 @pytest.mark.parametrize("n,p,value,witness", PINNED_WITNESSES)
 def test_signed_domination_pinned_witnesses(n, p, value, witness):
     g = random_connected(n, p, derive_seed(2718, 100 * n + round(10 * p)))
-    result = signed_domination(g, context=DegreeOrder(g))
+    result = signed_domination(g)
     assert (result[0], str(result[1])) == (value, witness)
     assert signed_domination(g) == result
 
@@ -467,42 +490,40 @@ def test_solvers_leave_no_cyclic_garbage():
             limited_packing_number(g, 2)
             packing_number(g)
             domination_number(g, lex_least=False)
-            order = DegreeOrder(g)
-            signed_domination(g, context=order)
-            tuple_domination_number(g, 2, lex_least=False, context=order)
-            limited_packing_number(g, 2, lex_least=False, context=order)
-            packing_number(g, lex_least=False, context=order)
+            tuple_domination_number(g, 2, lex_least=False)
+            limited_packing_number(g, 2, lex_least=False)
+            packing_number(g, lex_least=False)
         assert gc.collect() == 0
     finally:
         gc.enable()
 
 
 def _audit_solves(g):
-    # The audit's solves: gamma_s and the value-only ones, from one DegreeOrder.
-    order = DegreeOrder(g)
+    # The audit's solves: gamma_s and the value-only ones, back to back.
     return (
-        signed_domination(g, context=order),
-        domination_number(g, lex_least=False, context=order),
-        packing_number(g, lex_least=False, context=order),
-        limited_packing_number(g, 3, lex_least=False, context=order),
-        tuple_domination_number(g, 3, lex_least=False, context=order),
+        signed_domination(g),
+        domination_number(g, lex_least=False),
+        packing_number(g, lex_least=False),
+        limited_packing_number(g, 3, lex_least=False),
+        tuple_domination_number(g, 3, lex_least=False),
     )
 
 
 def test_repeated_solves_do_not_creep():
     # Garbage cycles and tuples parked in CPython's free lists both show as
-    # traced memory that grows with every call while gc is off.
-    g = random_connected(16, 0.7, derive_seed(7, 16))
-    expected = _audit_solves(g)
+    # traced memory that grows with every call while gc is off. The two
+    # graphs alternate, so every call builds its DegreeOrder anew.
+    graphs = [random_connected(16, 0.7, derive_seed(7, i)) for i in (16, 17)]
+    expected = [_audit_solves(g) for g in graphs]
     gc.collect()
     gc.disable()
     tracemalloc.start()
     try:
-        for _ in range(20):
-            _audit_solves(g)
+        for i in range(20):
+            _audit_solves(graphs[i % 2])
         before = tracemalloc.get_traced_memory()[0]
-        for _ in range(300):
-            assert _audit_solves(g) == expected
+        for i in range(300):
+            assert _audit_solves(graphs[i % 2]) == expected[i % 2]
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
