@@ -301,8 +301,8 @@ def audit_graph(
     gamma_s witness is re-checked with ``verify_sdf`` and its weight against
     gamma_s. The report carries subset values only, so those run with
     ``lex_least=False``; every subset value is still re-checked against the
-    set found for it (see ``_certify_sets``). A failed re-check raises
-    BoundViolation.
+    set found for it (see ``_certify_sets``). At delta // 2 == 1, L_k is
+    rho and takes its value and set. A failed re-check raises BoundViolation.
     """
     profile = structural_profile(g)
     g6 = serialize_graph(g, "graph6") if g.n <= 62 else ""
@@ -314,7 +314,10 @@ def audit_graph(
     rho, rho_set = packing_number(g, cap=bnb_cap, lex_least=False)
     lp_k = profile.delta // 2 if profile.delta >= 2 else None
     lp_value, lp_set = None, None
-    if lp_k is not None:
+    if lp_k == 1:
+        # L_1 is rho: its set, re-tagged, is certified as a 1-limited packing.
+        lp_value, lp_set = rho, VertexSet(rho_set.members, ROLE_LIMITED_PACKING, 1)
+    elif lp_k is not None:
         lp_value, lp_set = limited_packing_number(g, lp_k, cap=bnb_cap, lex_least=False)
     tuple_k = (profile.delta + 1) // 2 + 1
     tuple_value, tuple_set = tuple_domination_number(g, tuple_k, cap=bnb_cap, lex_least=False)

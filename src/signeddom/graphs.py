@@ -45,7 +45,9 @@ class Graph:
             adj[v] |= 1 << u
         self.edges = tuple(sorted(seen))
         self.adj = tuple(adj)
-        # Tuples from lists, not generators: see solvers._neighbour_lists.
+        # Tuples from lists, not generators: a tuple built from a generator is
+        # resized as it grows and, once freed, piles up in CPython's per-size
+        # tuple free lists.
         self.closed = tuple([adj[v] | (1 << v) for v in range(n)])
         self.deg = tuple([adj[v].bit_count() for v in range(n)])
         self._full_mask = (1 << n) - 1

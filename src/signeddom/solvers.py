@@ -6,19 +6,21 @@ domination number, k-limited packings, packings, k-tuple domination and
 domination are all one problem: a largest S with |N[v] ∩ S| <= cap(v) at every
 v. One branch-and-bound kernel, ``_max_packing``, solves it.
 
-Every solve runs the kernel twice at most. The value pass branches on the
-graph relabelled in ascending (degree, index) order by a ``DegreeOrder``,
-which needs fewer search nodes, and finds the optimum. ``_solve_packing``
+Every search runs on the graph relabelled in ascending (degree, index) order
+by a ``DegreeOrder``, which needs fewer search nodes. ``_solve_packing``
 derives that relabelling itself and keeps the one of the graph it solved
-last, so back-to-back solves on one graph share it. A lex-least solve then
-runs a witness pass in ascending index order, bounded to that optimum, which
-stops at its first leaf: trying "in S" first, the lexicographically least
-optimal S, and for the domination side, trying "out of S" first, the optimal S
-with the lexicographically least complement. So ``signed_domination`` returns
-the lexicographically smallest optimal assignment (comparing per-vertex values
-with -1 < +1), and each subset solver the lexicographically least optimal set.
-With ``lex_least=False`` a subset solver skips the witness pass: same value,
-and the value pass's set, just as optimal and valid but not lex-least.
+last, so back-to-back solves on one graph share it. The value pass finds the
+optimum and an optimal set W. A lex-least solve then walks the vertices in
+ascending index order and puts each in S where some optimal set agrees with
+the choices made so far (for the domination side, leaves it out of S where
+one does). Where W already makes that choice it proves it possible; elsewhere
+the walk asks the kernel whether such a set exists, and a set found becomes
+the new W. So ``signed_domination`` returns the lexicographically smallest
+optimal assignment (comparing per-vertex values with -1 < +1), and each
+subset solver the lexicographically least optimal set, or for the domination
+side the least optimal dominating set. With ``lex_least=False`` a subset
+solver skips the walk: same value, and W, just as optimal and valid but not
+lex-least.
 A transparent oracle that enumerates all 2^n sign vectors is the independent
 second route for the signed domination number.
 """
@@ -275,19 +277,21 @@ def _lex_key(plus_mask: int, n: int):
 
 
 class DegreeOrder:
-    """``graph`` relabelled in ascending (degree, index) order, for value passes.
+    """``graph`` relabelled in ascending (degree, index) order; every search runs on it.
 
-    Label i is vertex ``order[i]``; ``closed`` holds the closed neighbourhood
-    masks in the new labels and ``nbhd`` the same neighbourhoods as ascending
-    lists. Branching on low-degree vertices first needs fewer search nodes,
-    so every solve finds its optimum value in this order. The optimum found
-    first is not always the lexicographically least set, which a lex-least
-    solve finds in a witness pass in index order. ``_solve_packing`` builds
-    one per graph and keeps the last, so consecutive solves on one graph,
+    Label i is vertex ``order[i]``, and vertex v has label ``label[v]``.
+    ``closed`` holds the closed neighbourhood masks in the new labels and
+    ``nbhd`` the same neighbourhoods as ascending lists. ``drop[u]`` holds u
+    and every neighbour v with N[u] ⊆ N[v]: once a search leaves u out of S it
+    may leave those v out too (see ``_max_packing``). Branching on low-degree
+    vertices first needs fewer search nodes, so every solve finds its optimum
+    in this order, and a lex-least solve asks it the existence queries of its
+    witness walk (see ``_lex_least``). ``_solve_packing`` builds one per graph
+    and keeps the last, so consecutive solves on one graph,
     ``signed_domination`` included, share it.
     """
 
-    __slots__ = ("graph", "order", "closed", "nbhd")
+    __slots__ = ("graph", "order", "label", "closed", "nbhd", "drop")
 
     def __init__(self, g: Graph):
         # sorted is stable, so equal degrees keep ascending index order.
@@ -302,10 +306,20 @@ class DegreeOrder:
             nbhd[label[v]].append(label[u])
         for row in nbhd:
             row.sort()
+        closed = [mask_of(row) for row in nbhd]
+        drop = []
+        for c, row in zip(closed, nbhd):
+            mask = 0
+            for v in row:
+                if not c & ~closed[v]:
+                    mask |= 1 << v
+            drop.append(mask)
         self.graph = g
         self.order = order
-        self.closed = [mask_of(row) for row in nbhd]
+        self.label = label
+        self.closed = closed
         self.nbhd = nbhd
+        self.drop = drop
 
 
 def domination_number(g: Graph, cap: int = BNB_CAP, lex_least: bool = True):
@@ -368,13 +382,6 @@ def greedy_limited_packing_mask(g: Graph, k: int) -> int:
     return mask
 
 
-def _neighbour_lists(closed) -> list:
-    """The members of each closed neighbourhood mask, in ascending order."""
-    # Lists, not tuples built from generators: those are resized as they grow
-    # and, once freed, pile up in CPython's per-size tuple free lists.
-    return [list(bits(c)) for c in closed]
-
-
 # The DegreeOrder of the graph solved last. One slot: it serves back-to-back
 # solves on one graph, as in an audit, and keeps no graph but that one alive.
 # A thread that loses a race on it builds one order more, never a wrong one.
@@ -386,10 +393,9 @@ def _solve_packing(g: Graph, cap, n_max: int, lex_least: bool, least_complement:
 
     SizeCapError when g has more than ``n_max`` vertices. The value pass runs
     on g's ``DegreeOrder``, reused when g is the graph solved last. Without
-    ``lex_least`` it maps that first optimum back to g's labels. With it a
-    witness pass, in index order and bounded to the optimum, returns the
-    lexicographically least optimal S, or with ``least_complement`` the one
-    whose complement is.
+    ``lex_least`` it maps that first optimum back to g's labels. With it the
+    witness walk of ``_lex_least`` returns the lexicographically least optimal
+    S, or with ``least_complement`` the one whose complement is.
     """
     global _last_order
     if g.n > n_max:
@@ -398,48 +404,117 @@ def _solve_packing(g: Graph, cap, n_max: int, lex_least: bool, least_complement:
     if relabel is None or relabel.graph is not g:
         relabel = _last_order = DegreeOrder(g)
     order = relabel.order
-    size, s = _max_packing(relabel.closed, relabel.nbhd, [cap[v] for v in order])
+    room = [cap[v] for v in order]
+    size, s = _max_packing(relabel, room, _open_mask(relabel.closed, room))
     if lex_least:
-        return _max_packing(g.closed, _neighbour_lists(g.closed), cap, size, least_complement)
+        s = _lex_least(relabel, room, size, s, least_complement)
     mask = 0
     for i in bits(s):
         mask |= 1 << order[i]
     return size, mask
 
 
-def _max_packing(closed, nbhd, cap, target=None, out_first: bool = False):
-    """(|S|, S as a bitmask) for a largest S with |N[v] & S| <= cap[v] at every v.
+def _open_mask(closed, room) -> int:
+    """The vertices whose closed neighbourhood has no vertex of room 0 or less."""
+    avail = (1 << len(closed)) - 1
+    for c, r in zip(closed, room):
+        if r <= 0:
+            avail &= ~c
+    return avail
 
-    ``closed`` holds the closed neighbourhood masks of vertices 0..n-1 and
-    ``nbhd`` the same neighbourhoods as ascending lists. Branches on vertices
-    in ascending label order. ``room[v]`` is cap[v] - |N[v] & S|, and
-    ``avail`` holds the undecided vertices whose closed neighborhood has no
-    full vertex (room 0); only those can still join S. A node dies when
-    ``size + |avail|`` cannot beat the incumbent, or else when a greedy cover
-    cannot: it splits ``avail`` into groups N[u] & rest, one centre u per
-    group, and at most room[u] of a group can join S.
+
+def _lex_least(relabel: DegreeOrder, cap, size: int, witness: int, least_complement: bool) -> int:
+    """The lexicographically least optimal S in index order, in ``relabel``'s labels.
+
+    ``cap`` holds the caps in those labels, and ``witness`` is an optimal set
+    of ``size`` members. The walk decides the vertices in ascending index
+    order, each in S (or, with ``least_complement``, out of S) when some
+    optimal set agrees with the decided prefix and that choice. ``witness``
+    is always such a set: where it already makes the preferred choice it
+    proves that choice possible, and elsewhere the walk asks the kernel for
+    a set of the optimum's size over the undecided vertices, from the rooms
+    the prefix leaves; a set found becomes the witness. This is the greedy
+    that an index-order search trying the preferred choice first follows to
+    its first optimal leaf. RuntimeError if the final set is infeasible or
+    not of ``size`` members.
+    """
+    closed, nbhd = relabel.closed, relabel.nbhd
+    room = list(cap)
+    avail = _open_mask(closed, room)
+    undecided = (1 << len(closed)) - 1
+    members = 0
+    for i in relabel.label:
+        bit = 1 << i
+        undecided ^= bit
+        need = size - members.bit_count()
+        if least_complement:
+            if not witness & bit:
+                continue
+            found, s = _max_packing(relabel, room, undecided & avail, need)
+            if found >= need:
+                witness = members | s
+                continue
+        elif not avail & bit:
+            continue
+        # i joins S, for good unless an in-first query finds no set with it.
+        trial = avail
+        for u in nbhd[i]:
+            room[u] -= 1
+            if not room[u]:
+                trial &= ~closed[u]
+        if not witness & bit:
+            found, s = _max_packing(relabel, room, undecided & trial, need - 1)
+            if found < need - 1:
+                for u in nbhd[i]:
+                    room[u] += 1
+                continue
+            witness = members | bit | s
+        members |= bit
+        avail = trial
+    bad = [i for i, c in enumerate(closed) if (c & members).bit_count() > cap[i]]
+    if bad or members.bit_count() != size:
+        raise RuntimeError(
+            f"witness walk ended on {members.bit_count()} members, not the optimum {size},"
+            f" over capacity at labels {bad}; search inconsistency"
+        )
+    return members
+
+
+def _max_packing(relabel: DegreeOrder, room, avail: int, target=None):
+    """(|S|, S as a bitmask) for a largest S ⊆ ``avail`` with |N[v] & S| <= room[v] at every v.
+
+    Runs on ``relabel``'s labels and branches on the vertices in ascending
+    label order, trying "in S" first. ``room[v]`` starts as the members v
+    may still take, and the search keeps it at that minus |N[v] & S| and
+    restores it on return. ``avail`` holds the undecided vertices whose
+    closed neighbourhood has no full vertex (room 0); only those can still
+    join S, so the caller removes every closed neighbourhood of a full vertex
+    from it. A node dies when ``size + |avail|`` cannot beat the incumbent,
+    or else when a greedy cover cannot: it splits ``avail`` into groups
+    N[u] & rest, one centre u per group, and at most room[u] of a group can
+    join S.
+
+    Leaving u out of S also leaves out every undecided v with N[u] ⊆ N[v]
+    (``relabel.drop``): for a set S there with v, S - v + u has the same size,
+    is feasible, and lies in u's in-branch, which was searched first. So
+    every pruned subtree holds no set that beats what was found before it.
 
     With ``target=None`` the search keeps the first optimum it reaches. With a
     ``target`` the incumbent starts at target - 1 and the search stops at the
-    first leaf, a set of at least ``target`` members; RuntimeError if there is
-    none. The bounds prune only subtrees without such a set, so trying "in S"
-    first the first leaf is the lexicographically least set of its size, and
-    with ``out_first`` the one whose complement is lexicographically least.
+    first leaf, a set of at least ``target`` members; it returns
+    (target - 1, 0) when there is none.
     """
-    n = len(closed)
-    room = list(cap)
+    closed = relabel.closed
+    nbhd = relabel.nbhd
+    drop = relabel.drop
     # Below any hit - room[u]: a group holds at least the vertex w it covers.
-    floor = -max(cap, default=0)
-    start = (1 << n) - 1
-    for v in range(n):
-        if cap[v] <= 0:
-            start &= ~closed[v]
+    floor = -max(room, default=0)
     best = -1 if target is None else target - 1
     witness = 0
     stop = target is not None
 
     def search(avail: int, size: int, members: int) -> bool:
-        # True stops the search: a witness pass keeps its first leaf.
+        # True stops the search: an existence query keeps its first leaf.
         nonlocal best, witness
         if size + avail.bit_count() <= best:
             return False
@@ -463,9 +538,8 @@ def _max_packing(closed, nbhd, cap, target=None, out_first: bool = False):
         else:
             return False
         low = avail & -avail
-        if out_first and search(avail ^ low, size, members):
-            return True
-        nbrs = nbhd[low.bit_length() - 1]
+        i = low.bit_length() - 1
+        nbrs = nbhd[i]
         blocked = low
         for u in nbrs:
             room[u] -= 1
@@ -474,11 +548,10 @@ def _max_packing(closed, nbhd, cap, target=None, out_first: bool = False):
         found = search(avail & ~blocked, size + 1, members | low)
         for u in nbrs:
             room[u] += 1
-        return found or (not out_first and search(avail ^ low, size, members))
+        return found or search(avail & ~drop[i], size, members)
 
     try:
-        if not search(start, 0, 0) and stop:
-            raise RuntimeError(f"no set of {target} or more members; search inconsistency")
+        search(avail, 0, 0)
     finally:
         # search refers to itself through its closure cell; clearing the cell
         # frees it at once instead of leaving a cycle to the garbage collector.

@@ -225,13 +225,40 @@ def _tamper_sets(monkeypatch, name, members):
     monkeypatch.setattr(audit_mod, name, tampered)
 
 
+def _circulant_10_1_2():
+    # C10 with chords i ~ i + 2: 4-regular, so the audit solves L_2 itself.
+    return Graph(10, [(i, (i + d) % 10) for i in range(10) for d in (1, 2)])
+
+
 @pytest.mark.parametrize("name", SUBSET_SOLVERS)
 def test_invalid_subset_certificate_aborts(monkeypatch, name):
-    # On C6 the first ``value`` vertices are no valid set for any of the four
-    # roles: gamma = 2, rho = L_1 = 2, gamma_x2 = 4.
+    # On C10(1, 2) the first ``value`` vertices are no valid set for any of
+    # the four roles: gamma = 2, rho = 2, L_2 = 4, gamma_x3 = 6.
     _tamper_sets(monkeypatch, name, range)
     with pytest.raises(BoundViolation, match="invalid at vertices"):
-        audit_graph(cycle_graph(6), "C6")
+        audit_graph(_circulant_10_1_2(), "C10(1,2)")
+
+
+def test_limited_packing_at_k1_is_the_packing(monkeypatch):
+    # At delta // 2 == 1, L_k is rho: the audit takes value and set from the
+    # rho solve and still certifies that set as a 1-limited packing.
+    calls = []
+    real = audit_mod.limited_packing_number
+    monkeypatch.setattr(audit_mod, "limited_packing_number", lambda g, k, **kw: calls.append(k) or real(g, k, **kw))
+    for i in (1, 3):
+        # n = 12 > 10, so no chain check solves L_k either.
+        g = random_connected(12, 0.3, derive_seed(3, i))
+        report = audit_graph(g)
+        assert structural_profile(g).delta // 2 == 1
+        assert (report.limited_packing_k, report.limited_packing_value) == (1, report.rho)
+    assert calls == []
+    report = audit_graph(_circulant_10_1_2(), "C10(1,2)")
+    assert report.limited_packing_k == 2 and calls[0] == 2
+    certified = []
+    monkeypatch.setattr(audit_mod, "_certify_sets", lambda g, report, sets: certified.extend(sets))
+    report = audit_graph(cycle_graph(6), "C6")
+    lk = [vs for name, value, vs in certified if name == "L_k"]
+    assert [(vs.role, vs.k, vs.size) for vs in lk] == [("limited_packing", 1, report.rho)]
 
 
 def test_subset_certificate_of_wrong_size_aborts(monkeypatch):

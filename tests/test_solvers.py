@@ -30,7 +30,7 @@ from signeddom import (
     vertex_set_violations,
 )
 from signeddom.graphs import mask_of
-from signeddom.solvers import DegreeOrder, _max_packing, _neighbour_lists
+from signeddom.solvers import BNB_CAP, DegreeOrder, _solve_packing
 
 
 def _small_corpus():
@@ -292,7 +292,7 @@ def test_subset_solvers_match_brute_force():
 
 
 def test_value_only_domination_keeps_values():
-    # lex_least=False skips the witness pass: same value, and a valid minimum set.
+    # lex_least=False skips the witness walk: same value, and a valid minimum set.
     for g in _small_corpus():
         delta = min(g.deg) if g.n else 0
         for k in range(1, delta + 2):
@@ -375,28 +375,105 @@ def test_degree_order_is_built_once_per_graph(degree_order_builds):
     assert len(degree_order_builds) == 2
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_kernel_witness_pass(k):
-    # Caps deg + 1 - k: S is the complement of a k-tuple dominating set, and
-    # the two witness orders pick different optimal sets.
-    for i in range(4):
-        g = random_connected(9, 0.5, derive_seed(515, i))
-        closed = oracles.closed_neighborhoods(g)
-        cap = [d + 1 - k for d in g.deg]
-        args = (g.closed, _neighbour_lists(g.closed), cap)
-        best, _ = _max_packing(*args)
+def _brute_lex_least(g, cap):
+    """(optimum, least optimal S, optimal S with the least complement) by exhaustion."""
+    closed = oracles.closed_neighborhoods(g)
+    for size in range(g.n, -1, -1):
         feasible = [
             set(c)
-            for c in combinations(range(g.n), best)
+            for c in combinations(range(g.n), size)
             if all(len(closed[v] & set(c)) <= cap[v] for v in range(g.n))
         ]
-        least = min(feasible, key=sorted)
-        least_complement = min(feasible, key=lambda c: sorted(set(range(g.n)) - c))
-        assert _max_packing(*args, target=best) == (best, mask_of(least))
-        assert _max_packing(*args, target=best, out_first=True) == (best, mask_of(least_complement))
-        for out_first in (False, True):
-            with pytest.raises(RuntimeError, match="search inconsistency"):
-                _max_packing(*args, target=best + 1, out_first=out_first)
+        if feasible:
+            least = min(feasible, key=sorted)
+            least_complement = min(feasible, key=lambda c: sorted(set(range(g.n)) - c))
+            return size, mask_of(least), mask_of(least_complement)
+    raise AssertionError("the empty set is always feasible")
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_witness_walk_matches_both_lex_orders(k):
+    # Caps deg + 1 - k (S is the complement of a k-tuple dominating set) and
+    # floor(deg / 2) (S is V-): the two lex orders pick different optimal sets.
+    for i in range(6):
+        g = random_connected(9, 0.5, derive_seed(515, i))
+        for cap in ([d + 1 - k for d in g.deg], [d // 2 for d in g.deg]):
+            best, least, least_complement = _brute_lex_least(g, cap)
+            assert _solve_packing(g, cap, BNB_CAP, True) == (best, least)
+            assert _solve_packing(g, cap, BNB_CAP, True, least_complement=True) == (best, least_complement)
+
+
+def _complete_multipartite(*sizes):
+    parts, start = [], 0
+    for size in sizes:
+        parts.append(range(start, start + size))
+        start += size
+    edges = [(u, v) for i, a in enumerate(parts) for b in parts[i + 1:] for u in a for v in b]
+    return Graph(start, edges)
+
+
+DOMINANCE_GRAPHS = {
+    # Twins: 0 and 1 share their closed neighbourhood, so do 4 and 5.
+    "twins": Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)]),
+    "star": star_graph(7),
+    "star_plus_edge": Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (4, 5)]),
+    # No closed neighbourhood nests in another, but optima tie in many ways.
+    "K_2_2_3": _complete_multipartite(2, 2, 3),
+    # Path 0-1-2-3-4 with the twin leaves 5 and 6 on vertex 2.
+    "path_pendant_twins": Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (2, 6)]),
+    "triangle_pendant_twins": Graph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (2, 4), (3, 4), (0, 5)]),
+}
+
+
+@pytest.mark.parametrize("name", DOMINANCE_GRAPHS)
+def test_dominance_keeps_values_and_witnesses(name):
+    # Leaving u out of S also leaves out the v with N[u] ⊆ N[v]; values and
+    # lex-least witnesses must stay the brute-force ones where that fires.
+    g = DOMINANCE_GRAPHS[name]
+    relabel = DegreeOrder(g)
+    nested = sum((d & ~(1 << i)).bit_count() for i, d in enumerate(relabel.drop))
+    assert (nested == 0) == (name == "K_2_2_3")
+    assert signed_domination(g) == signed_domination(g, "oracle")
+    assert signed_domination(g)[1].assignment == oracles.brute_signed_domination(g)[1]
+    for k in range(1, min(g.deg) + 2):
+        value, witness = tuple_domination_number(g, k)
+        assert (value, witness.sorted_members()) == oracles.brute_min_tuple_dominating(g, k)
+        _check_value_only(g, value, tuple_domination_number(g, k, lex_least=False))
+    for k in range(1, max(g.deg) // 2 + 2):
+        value, witness = limited_packing_number(g, k)
+        assert (value, witness.sorted_members()) == oracles.brute_max_limited_packing(g, k)
+        _check_value_only(g, value, limited_packing_number(g, k, lex_least=False))
+    value, witness = packing_number(g)
+    assert (value, witness.sorted_members()) == oracles.brute_max_packing(g)
+    for cap in ([d // 2 for d in g.deg], [d for d in g.deg], [2] * g.n):
+        best, least, least_complement = _brute_lex_least(g, cap)
+        assert _solve_packing(g, cap, BNB_CAP, True) == (best, least)
+        assert _solve_packing(g, cap, BNB_CAP, True, least_complement=True) == (best, least_complement)
+
+
+def test_witness_walk_rejects_an_inconsistent_search(monkeypatch):
+    # A kernel whose existence queries answer "yes" with no members leads
+    # the walk to a set short of the optimum; one that overstates the value
+    # pass's optimum leaves the walk short of it too. Both raise.
+    kernel = solvers._max_packing
+
+    def always_yes(relabel, room, avail, target=None):
+        if target is None:
+            return kernel(relabel, room, avail)
+        return target, 0
+
+    def overstated(relabel, room, avail, target=None):
+        size, s = kernel(relabel, room, avail, target)
+        return (size + 1, s) if target is None else (size, s)
+
+    g = random_connected(9, 0.5, derive_seed(515, 0))
+    monkeypatch.setattr(solvers, "_max_packing", always_yes)
+    with pytest.raises(RuntimeError, match="search inconsistency"):
+        domination_number(g)
+    monkeypatch.setattr(solvers, "_max_packing", overstated)
+    for solve in (signed_domination, domination_number, packing_number):
+        with pytest.raises(RuntimeError, match="search inconsistency"):
+            solve(g)
 
 
 # Witnesses of the single-pass index-order kernel, above the oracle's n <= 20:
