@@ -165,8 +165,9 @@ def _cmd_solve(args) -> int:
     if args.param == "gamma_s":
         value, f = signed_domination(g, args.mode, oracle_cap=args.cap_oracle, bnb_cap=args.cap_bnb)
         bad = verify_sdf(g, f)
-        if bad:
-            print(f"error: witness {f} is invalid at vertices {bad}", file=sys.stderr)
+        if bad or f.weight != value:
+            weight = "" if f.weight == value else f"; it has weight {f.weight}, not {value}"
+            print(f"error: witness {f} is invalid at vertices {bad}{weight}", file=sys.stderr)
             return 1
         witness = str(f)
     else:

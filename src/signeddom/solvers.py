@@ -4,7 +4,10 @@ A sign assignment f is feasible iff every closed neighborhood sums to at
 least 1, i.e. |N[v] ∩ V-| <= floor(deg(v)/2) for every v. So the signed
 domination number, k-limited packings, packings, k-tuple domination and
 domination are all one problem: a largest S with |N[v] ∩ S| <= cap(v) at every
-v. One branch-and-bound kernel, ``_max_packing``, solves it.
+v. One branch-and-bound kernel, ``_max_packing``, solves it. Besides the
+greedy cover it prunes with the paper's double count (Lemma 3.1, Theorem
+3.2): each member u of S uses one unit of room at every vertex of N[u], so
+the members still to come have |N[u]| summing to at most the room left.
 
 Every search runs on the graph relabelled in ascending (degree, index) order
 by a ``DegreeOrder``, which needs fewer search nodes. ``_solve_packing``
@@ -280,8 +283,9 @@ class DegreeOrder:
     """``graph`` relabelled in ascending (degree, index) order; every search runs on it.
 
     Label i is vertex ``order[i]``, and vertex v has label ``label[v]``.
-    ``closed`` holds the closed neighbourhood masks in the new labels and
-    ``nbhd`` the same neighbourhoods as ascending lists. ``drop[u]`` holds u
+    ``closed`` holds the closed neighbourhood masks in the new labels,
+    ``nbhd`` the same neighbourhoods as ascending lists, and ``sizes`` their
+    sizes |N[i]|, which ascend with the label. ``drop[u]`` holds u
     and every neighbour v with N[u] ⊆ N[v]: once a search leaves u out of S it
     may leave those v out too (see ``_max_packing``). Branching on low-degree
     vertices first needs fewer search nodes, so every solve finds its optimum
@@ -291,7 +295,7 @@ class DegreeOrder:
     ``signed_domination`` included, share it.
     """
 
-    __slots__ = ("graph", "order", "label", "closed", "nbhd", "drop")
+    __slots__ = ("graph", "order", "label", "closed", "nbhd", "sizes", "drop")
 
     def __init__(self, g: Graph):
         # sorted is stable, so equal degrees keep ascending index order.
@@ -319,6 +323,7 @@ class DegreeOrder:
         self.label = label
         self.closed = closed
         self.nbhd = nbhd
+        self.sizes = [len(row) for row in nbhd]
         self.drop = drop
 
 
@@ -485,19 +490,31 @@ def _max_packing(relabel: DegreeOrder, room, avail: int, target=None):
 
     Runs on ``relabel``'s labels and branches on the vertices in ascending
     label order, trying "in S" first. ``room[v]`` starts as the members v
-    may still take, and the search keeps it at that minus |N[v] & S| and
+    may still take (never negative: the caps are at least 0, and a walk's
+    rooms stay so), and the search keeps it at that minus |N[v] & S| and
     restores it on return. ``avail`` holds the undecided vertices whose
     closed neighbourhood has no full vertex (room 0); only those can still
     join S, so the caller removes every closed neighbourhood of a full vertex
     from it. A node dies when ``size + |avail|`` cannot beat the incumbent,
-    or else when a greedy cover cannot: it splits ``avail`` into groups
-    N[u] & rest, one centre u per group, and at most room[u] of a group can
-    join S.
+    or else when the degree-sum bound cannot, or else when a greedy cover
+    cannot. The degree-sum bound is the paper's double count: a member u
+    uses one unit of room at each vertex of N[u], so the members still to
+    come have sizes |N[u]| that sum to at most ``spare``, the total room
+    left (the sum of the rooms at the root, less |N[i]| in i's in-branch). To
+    beat the incumbent a node needs ``best - size + 1`` more, and the
+    lightest that many are the lowest available labels, since sizes ascend
+    with the label; the node dies when their sizes sum past ``spare``. The
+    sizes of the highest and the lowest available label bracket that sum, so
+    the sum is taken only between them. The cover splits ``avail`` into
+    groups N[u] & rest, one centre u per group, and at most room[u] of a
+    group can join S.
 
     Leaving u out of S also leaves out every undecided v with N[u] ⊆ N[v]
     (``relabel.drop``): for a set S there with v, S - v + u has the same size,
     is feasible, and lies in u's in-branch, which was searched first. So
-    every pruned subtree holds no set that beats what was found before it.
+    every pruned subtree holds no set that beats what was found before it,
+    and the search meets the same first optimal leaf, whatever the bounds
+    cut: each of its ancestors can beat the incumbent of its time.
 
     With ``target=None`` the search keeps the first optimum it reaches. With a
     ``target`` the incumbent starts at target - 1 and the search stops at the
@@ -506,6 +523,7 @@ def _max_packing(relabel: DegreeOrder, room, avail: int, target=None):
     """
     closed = relabel.closed
     nbhd = relabel.nbhd
+    sizes = relabel.sizes
     drop = relabel.drop
     # Below any hit - room[u]: a group holds at least the vertex w it covers.
     floor = -max(room, default=0)
@@ -513,7 +531,7 @@ def _max_packing(relabel: DegreeOrder, room, avail: int, target=None):
     witness = 0
     stop = target is not None
 
-    def search(avail: int, size: int, members: int) -> bool:
+    def search(avail: int, size: int, members: int, spare: int) -> bool:
         # True stops the search: an existence query keeps its first leaf.
         nonlocal best, witness
         if size + avail.bit_count() <= best:
@@ -521,6 +539,20 @@ def _max_packing(relabel: DegreeOrder, room, avail: int, target=None):
         if not avail:
             best, witness = size, members
             return stop
+        # Degree-sum bound: the need lightest available vertices, the lowest
+        # labels, must fit their |N[u]| into the spare room.
+        need = best - size + 1
+        if need > 0 and need * sizes[avail.bit_length() - 1] > spare:
+            if need * sizes[(avail & -avail).bit_length() - 1] > spare:
+                return False
+            weight = 0
+            rest = avail
+            for _ in range(need):
+                b = rest & -rest
+                weight += sizes[b.bit_length() - 1]
+                rest ^= b
+            if weight > spare:
+                return False
         # Greedy cover: each u in N[w] of an available w has room[u] >= 1.
         bound = size
         rest = avail
@@ -545,13 +577,13 @@ def _max_packing(relabel: DegreeOrder, room, avail: int, target=None):
             room[u] -= 1
             if not room[u]:
                 blocked |= closed[u]
-        found = search(avail & ~blocked, size + 1, members | low)
+        found = search(avail & ~blocked, size + 1, members | low, spare - sizes[i])
         for u in nbrs:
             room[u] += 1
-        return found or search(avail & ~drop[i], size, members)
+        return found or search(avail & ~drop[i], size, members, spare)
 
     try:
-        search(avail, 0, 0)
+        search(avail, 0, 0, sum(room))
     finally:
         # search refers to itself through its closure cell; clearing the cell
         # frees it at once instead of leaving a cycle to the garbage collector.

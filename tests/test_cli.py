@@ -82,6 +82,12 @@ def test_solve_rejects_invalid_witness(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "solve", "--param", "gamma_s", "--input", str(c6))
     assert code == 1 and out == ""
     assert "invalid at vertices [0, 1, 2, 3, 4, 5]" in err
+    # A valid assignment whose weight is not the value is rejected too.
+    monkeypatch.setattr(cli_mod, "signed_domination",
+                        lambda g, *a, **k: (4, SignedFunction((1,) * 6)))
+    code, out, err = run(capsys, "solve", "--param", "gamma_s", "--input", str(c6))
+    assert code == 1 and out == ""
+    assert "error: witness ++++++ is invalid at vertices []; it has weight 6, not 4" in err
 
 
 def test_solve_rejects_invalid_subset_witness(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import gc
+import random
 import tracemalloc
 from functools import partial
 from itertools import combinations
@@ -395,9 +396,13 @@ def _brute_lex_least(g, cap):
 def test_witness_walk_matches_both_lex_orders(k):
     # Caps deg + 1 - k (S is the complement of a k-tuple dominating set) and
     # floor(deg / 2) (S is V-): the two lex orders pick different optimal sets.
+    # Seeded caps in 0..deg+1 give uneven room totals and rooms of 0 at the
+    # root, where the degree-sum bound starts from fewer units than the caps.
     for i in range(6):
         g = random_connected(9, 0.5, derive_seed(515, i))
-        for cap in ([d + 1 - k for d in g.deg], [d // 2 for d in g.deg]):
+        rng = random.Random(derive_seed(516, 10 * k + i))
+        seeded = [rng.randint(0, d + 1) for d in g.deg]
+        for cap in ([d + 1 - k for d in g.deg], [d // 2 for d in g.deg], seeded):
             best, least, least_complement = _brute_lex_least(g, cap)
             assert _solve_packing(g, cap, BNB_CAP, True) == (best, least)
             assert _solve_packing(g, cap, BNB_CAP, True, least_complement=True) == (best, least_complement)
@@ -496,6 +501,36 @@ def test_signed_domination_pinned_witnesses(n, p, value, witness):
     result = signed_domination(g)
     assert (result[0], str(result[1])) == (value, witness)
     assert signed_domination(g) == result
+
+
+# The value-only sets (lex_least=False) on the graphs of PINNED_WITNESSES:
+# (n, p, (gamma, gamma_x2, L_2, rho) sets), frozen before the degree-sum bound
+# joined the kernel. A bound that only prunes keeps the first optimum.
+PINNED_VALUE_ONLY_SETS = [
+    (22, 0.3, ("2 3 16 19", "0 2 3 5 15 16 19", "1 7 8 11 17 20", "8 20 21")),
+    (22, 0.9, ("19", "5 19", "2 9", "2")),
+    (23, 0.5, ("6 15 16", "1 7 16 22", "2 5 12", "2")),
+    (24, 0.7, ("3 6", "6 11 14", "15 18", "15")),
+    (24, 0.3, ("0 8 13 19", "1 8 13 17 19 23", "5 6 11 16 17 20", "6 16 20")),
+    (25, 0.9, ("16", "3 16", "2 17", "17")),
+    (26, 0.5, ("11 17 18", "8 10 11 17", "0 9 10", "0")),
+    (26, 0.7, ("5 13", "2 12 16", "11 21", "21")),
+]
+
+
+@pytest.mark.parametrize("n,p,sets", PINNED_VALUE_ONLY_SETS)
+def test_value_only_pinned_sets(n, p, sets):
+    g = random_connected(n, p, derive_seed(2718, 100 * n + round(10 * p)))
+    found = []
+    for value, vs in (
+        domination_number(g, lex_least=False),
+        tuple_domination_number(g, 2, lex_least=False),
+        limited_packing_number(g, 2, lex_least=False),
+        packing_number(g, lex_least=False),
+    ):
+        assert value == vs.size and vertex_set_violations(g, vs) == []
+        found.append(" ".join(map(str, vs.sorted_members())))
+    assert tuple(found) == sets
 
 
 def test_subset_solver_cap():
