@@ -303,6 +303,10 @@ def audit_graph(
     ``lex_least=False``; every subset value is still re-checked against the
     set found for it (see ``_certify_sets``). At delta // 2 == 1, L_k is
     rho and takes its value and set. A failed re-check raises BoundViolation.
+    The chain checks (n <= 10) take these values too: both chains start from
+    the audit's value at k = 1 (rho, gamma) and reuse it at the audit's own k
+    (L_k, gamma_xk), so they solve only the other k. On a tree that leaves
+    the tuple chain nothing to solve.
     """
     profile = structural_profile(g)
     g6 = serialize_graph(g, "graph6") if g.n <= 62 else ""
@@ -433,18 +437,28 @@ def _invariant_checks(g: Graph, profile: StructuralProfile, report: BoundReport)
         checks["eq2"] = None
 
     if g.n <= CHAIN_CHECK_MAX_N:
-        checks["chain_Lk"] = _check_limited_packing_chain(g, profile)
-        checks["chain_tuple"] = _check_tuple_chain(g, profile)
+        # L_1 is rho and gamma_x1 is gamma; the audit's own k is solved already.
+        lp_known = {1: report.rho}
+        if report.limited_packing_k:
+            lp_known[report.limited_packing_k] = report.limited_packing_value
+        tuple_known = {1: report.gamma, report.tuple_k: report.tuple_value}
+        checks["chain_Lk"] = _check_limited_packing_chain(g, profile, lp_known)
+        checks["chain_tuple"] = _check_tuple_chain(g, profile, tuple_known)
     else:
         checks["chain_Lk"] = None
         checks["chain_tuple"] = None
     return checks
 
 
-def _check_limited_packing_chain(g: Graph, profile: StructuralProfile) -> bool:
+def _check_limited_packing_chain(g: Graph, profile: StructuralProfile, known: dict) -> bool:
+    """L_(k+1) >= L_k + 1 while L_k < n, over L_1 to L_(Delta // 2 + 1).
+
+    ``known`` maps k to L_k where the audit has solved it already; every
+    other k is solved here.
+    """
     prev = None
     for k in range(1, profile.Delta // 2 + 2):
-        value, _ = limited_packing_number(g, k, lex_least=False)
+        value = known[k] if k in known else limited_packing_number(g, k, lex_least=False)[0]
         if prev is not None and prev < g.n and value < prev + 1:
             return False
         if value == g.n:
@@ -453,10 +467,11 @@ def _check_limited_packing_chain(g: Graph, profile: StructuralProfile) -> bool:
     return True
 
 
-def _check_tuple_chain(g: Graph, profile: StructuralProfile) -> bool:
+def _check_tuple_chain(g: Graph, profile: StructuralProfile, known: dict) -> bool:
+    """gamma_x(k+1) >= gamma_xk + 1 for k <= delta; ``known`` as for the L_k chain."""
     prev = None
     for k in range(1, profile.delta + 2):
-        value, _ = tuple_domination_number(g, k, lex_least=False)
+        value = known[k] if k in known else tuple_domination_number(g, k, lex_least=False)[0]
         if prev is not None and value < prev + 1:
             return False
         prev = value

@@ -19,12 +19,15 @@ from signeddom import (
     derive_seed,
     hunt,
     iter_corpus,
+    limited_packing_number,
     parse_graph,
     path_graph,
     random_connected,
     serialize_graph,
+    spider_graph,
     star_graph,
     structural_profile,
+    tuple_domination_number,
     verify_sdf,
 )
 from signeddom.audit import CSV_HEADER
@@ -259,6 +262,71 @@ def test_limited_packing_at_k1_is_the_packing(monkeypatch):
     report = audit_graph(cycle_graph(6), "C6")
     lk = [vs for name, value, vs in certified if name == "L_k"]
     assert [(vs.role, vs.k, vs.size) for vs in lk] == [("limited_packing", 1, report.rho)]
+
+
+def _chain_solves(monkeypatch, g):
+    """(chain, k) of every L_k and gamma_xk solve the chain checks make while auditing g."""
+    solves = []
+    chain = [None]
+    for solver in ("limited_packing_number", "tuple_domination_number"):
+        real = getattr(audit_mod, solver)
+        monkeypatch.setattr(
+            audit_mod, solver,
+            lambda graph, k, _real=real, _solver=solver, **kw: solves.append((chain[0], _solver, k)) or _real(graph, k, **kw),
+        )
+    for check in ("_check_limited_packing_chain", "_check_tuple_chain"):
+        real = getattr(audit_mod, check)
+
+        def in_chain(*args, _real=real, _check=check):
+            chain[0] = _check
+            try:
+                return _real(*args)
+            finally:
+                chain[0] = None
+
+        monkeypatch.setattr(audit_mod, check, in_chain)
+    report = audit_graph(g)
+    assert report.checks["chain_Lk"] is True and report.checks["chain_tuple"] is True
+    return report, [(c, k) for c, solver, k in solves if c is not None]
+
+
+@pytest.mark.parametrize("g", (path_graph(6), spider_graph(4, 2), _circulant_10_1_2()), ids=("P6", "spider", "C10(1,2)"))
+def test_chains_take_the_audits_values(monkeypatch, g):
+    # The chains solve neither k = 1 (rho, gamma) nor the audit's own k.
+    report, solves = _chain_solves(monkeypatch, g)
+    profile = report.profile
+    lp_own = {1, report.limited_packing_k}
+    lp_chain = [("_check_limited_packing_chain", k) for k in range(1, profile.Delta // 2 + 2) if k not in lp_own]
+    tuple_chain = [("_check_tuple_chain", k) for k in range(1, profile.delta + 2) if k not in {1, report.tuple_k}]
+    assert solves == lp_chain + tuple_chain
+    if profile.is_tree:
+        assert tuple_chain == [] and lp_chain[0] == ("_check_limited_packing_chain", 2)
+    else:
+        assert (report.limited_packing_k, report.tuple_k) == (2, 3)
+        assert solves == [("_check_limited_packing_chain", 3)] + [("_check_tuple_chain", k) for k in (2, 4, 5)]
+
+
+def _chains_by_hand(g):
+    """chain_Lk and chain_tuple from every L_k and gamma_xk solved afresh."""
+    profile = structural_profile(g)
+    lk = [limited_packing_number(g, k, lex_least=False)[0] for k in range(1, profile.Delta // 2 + 2)]
+    tk = [tuple_domination_number(g, k, lex_least=False)[0] for k in range(1, profile.delta + 2)]
+    return (
+        all(b > a for a, b in zip(lk, lk[1:]) if a < g.n),
+        all(b > a for a, b in zip(tk, tk[1:])),
+    )
+
+
+def test_chains_match_a_fresh_solve_of_every_k():
+    graphs = [g for _, g in iter_corpus(CorpusSpec(kind="trees_exhaustive", n_min=2, n_max=6))]
+    assert len(graphs) == 1441
+    graphs += [
+        random_connected(n, p, derive_seed(12, 100 * n + round(10 * p) + i))
+        for n in range(4, 11) for p in (0.3, 0.5, 0.7) for i in range(3)
+    ]
+    for g in graphs:
+        report = audit_graph(g)
+        assert (report.checks["chain_Lk"], report.checks["chain_tuple"]) == _chains_by_hand(g), report.graph6
 
 
 def test_subset_certificate_of_wrong_size_aborts(monkeypatch):
