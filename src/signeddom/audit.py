@@ -105,7 +105,6 @@ class CorpusSpec:
     count: int = 1
     p: float = 0.5
     seed: int = 0
-    bnb_cap: int = BNB_CAP
 
     def __post_init__(self):
         if self.kind not in CORPUS_KINDS:
@@ -114,8 +113,8 @@ class CorpusSpec:
             raise ValueError("count must be >= 1")
         if self.n_min > self.n_max:
             raise ValueError("n_min must not exceed n_max")
-        if self.n_max > self.bnb_cap:
-            raise ValueError(f"n_max {self.n_max} exceeds the solver caps (n <= {self.bnb_cap})")
+        if self.n_max > BNB_CAP:
+            raise ValueError(f"n_max {self.n_max} exceeds the solver caps (n <= {BNB_CAP})")
         if self.kind == "trees_exhaustive" and self.n_max > TREE_ENUM_MAX_N:
             raise ValueError(f"trees_exhaustive needs n_max <= {TREE_ENUM_MAX_N}, got {self.n_max}")
 
@@ -285,16 +284,13 @@ CSV_HEADER = ",".join(
 )
 
 
-def audit_graph(
-    g: Graph,
-    graph_id: str | None = None,
-    bnb_cap: int = BNB_CAP,
-) -> BoundReport:
+def audit_graph(g: Graph, graph_id: str | None = None) -> BoundReport:
     """Compute exact values, evaluate all bounds, and run the invariant checks.
 
     Disconnected graphs get a report with every bound marked not applicable
     and the invariant checks skipped. Output is deterministic per graph.
-    Graphs with n > ``bnb_cap`` raise SizeCapError from the solvers.
+    Graphs with n > ``BNB_CAP`` raise SizeCapError from the solvers. The
+    solvers run before the graph6 encoding, so it never sees such a graph.
 
     Every solve runs back to back on g, so all of them, the chain checks
     included, share the solvers' one degree-order relabelling of g. The
@@ -309,22 +305,21 @@ def audit_graph(
     the tuple chain nothing to solve.
     """
     profile = structural_profile(g)
-    g6 = serialize_graph(g, "graph6") if g.n <= 62 else ""
-    if graph_id is None:
-        graph_id = g6
-
-    gamma_s, witness = signed_domination(g, "branch_and_bound", bnb_cap=bnb_cap)
-    gamma, gamma_set = domination_number(g, cap=bnb_cap, lex_least=False)
-    rho, rho_set = packing_number(g, cap=bnb_cap, lex_least=False)
+    gamma_s, witness = signed_domination(g, "branch_and_bound")
+    gamma, gamma_set = domination_number(g, lex_least=False)
+    rho, rho_set = packing_number(g, lex_least=False)
     lp_k = profile.delta // 2 if profile.delta >= 2 else None
     lp_value, lp_set = None, None
     if lp_k == 1:
         # L_1 is rho: its set, re-tagged, is certified as a 1-limited packing.
         lp_value, lp_set = rho, VertexSet(rho_set.members, ROLE_LIMITED_PACKING, 1)
     elif lp_k is not None:
-        lp_value, lp_set = limited_packing_number(g, lp_k, cap=bnb_cap, lex_least=False)
+        lp_value, lp_set = limited_packing_number(g, lp_k, lex_least=False)
     tuple_k = (profile.delta + 1) // 2 + 1
-    tuple_value, tuple_set = tuple_domination_number(g, tuple_k, cap=bnb_cap, lex_least=False)
+    tuple_value, tuple_set = tuple_domination_number(g, tuple_k, lex_least=False)
+    g6 = serialize_graph(g, "graph6")
+    if graph_id is None:
+        graph_id = g6
 
     report = BoundReport(
         graph_id=graph_id,
@@ -489,7 +484,9 @@ def iter_corpus(spec: CorpusSpec):
             for i, g in enumerate(enumerate_labeled_trees(n)):
                 yield f"tree-n{n}-{i:07d}", g
         return
-    for n in range(spec.n_min, spec.n_max + 1):
+    # A cycle needs n >= 3, so the cycle corpus starts there.
+    n_min = max(3, spec.n_min) if spec.kind == "cycle" else spec.n_min
+    for n in range(n_min, spec.n_max + 1):
         if spec.kind in ("complete", "path", "cycle", "star"):
             yield f"{spec.kind}-n{n}", generate(spec.kind, {"n": n})
             index += 1
@@ -506,23 +503,23 @@ def iter_corpus(spec: CorpusSpec):
 POOL_CHUNK = 64
 
 
-def _audit_chunk(items: list, cap: int) -> list:
-    return [audit_graph(g, graph_id, bnb_cap=cap) for graph_id, g in items]
+def _audit_chunk(items: list) -> list:
+    return [audit_graph(g, graph_id) for graph_id, g in items]
 
 
-def _pool_reports(pool, items, cap: int, window: int):
+def _pool_reports(pool, items, window: int):
     """Audit ``items`` in ``pool``, POOL_CHUNK at a time; yield the reports in order.
 
     At most ``window`` chunks are submitted ahead of the reader, so a reader
     that stops early leaves at most that many chunks audited.
     """
     chunks = iter(lambda: list(itertools.islice(items, POOL_CHUNK)), [])
-    pending = collections.deque(pool.submit(_audit_chunk, c, cap) for c in itertools.islice(chunks, window))
+    pending = collections.deque(pool.submit(_audit_chunk, c) for c in itertools.islice(chunks, window))
     while pending:
         yield from pending.popleft().result()
         chunk = next(chunks, None)
         if chunk is not None:
-            pending.append(pool.submit(_audit_chunk, chunk, cap))
+            pending.append(pool.submit(_audit_chunk, chunk))
 
 
 def _checked_reports(spec: CorpusSpec, jobs: int = 1):
@@ -544,9 +541,9 @@ def _checked_reports(spec: CorpusSpec, jobs: int = 1):
             pool = ProcessPoolExecutor(max_workers=jobs)
             # An early exit drops the submitted chunks not yet started.
             stack.callback(pool.shutdown, cancel_futures=True)
-            reports = _pool_reports(pool, items, spec.bnb_cap, 2 * jobs)
+            reports = _pool_reports(pool, items, 2 * jobs)
         else:
-            reports = (audit_graph(g, graph_id, bnb_cap=spec.bnb_cap) for graph_id, g in items)
+            reports = (audit_graph(g, graph_id) for graph_id, g in items)
         for report in reports:
             problems = report.violations()
             if problems:

@@ -15,8 +15,6 @@ from .bounds import BOUND_ORDER
 from .codecs import FORMATS, detect_format, parse_graph, serialize_graph
 from .generate import KINDS as GENERATOR_KINDS, generate
 from .solvers import (
-    BNB_CAP,
-    ORACLE_CAP,
     domination_number,
     limited_packing_number,
     packing_number,
@@ -63,14 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--k", type=int, default=1, help="k for tuple/limited_packing")
     solve.add_argument("--input", required=True)
     solve.add_argument("--mode", choices=("oracle", "bnb"), default="bnb")
-    solve.add_argument("--cap-oracle", type=int, default=ORACLE_CAP)
-    solve.add_argument("--cap-bnb", type=int, default=BNB_CAP)
     solve.add_argument("--json", action="store_true")
     solve.set_defaults(func=_cmd_solve)
 
     bnd = sub.add_parser("bounds", help="print every bound record for one graph")
     bnd.add_argument("--input", required=True)
-    bnd.add_argument("--cap-bnb", type=int, default=BNB_CAP)
     bnd.add_argument("--json", action="store_true")
     bnd.set_defaults(func=_cmd_bounds)
 
@@ -95,7 +90,6 @@ def _corpus_flags(p):
     p.add_argument("--count", type=int, default=1, help="samples per size (random corpora)")
     p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap-bnb", type=int, default=BNB_CAP)
     p.add_argument("--jobs", type=int, default=1, help="worker processes (output is the same)")
 
 
@@ -163,7 +157,7 @@ def _cmd_convert(args) -> int:
 def _cmd_solve(args) -> int:
     g = _load_graph(args.input)
     if args.param == "gamma_s":
-        value, f = signed_domination(g, args.mode, oracle_cap=args.cap_oracle, bnb_cap=args.cap_bnb)
+        value, f = signed_domination(g, args.mode)
         bad = verify_sdf(g, f)
         if bad or f.weight != value:
             weight = "" if f.weight == value else f"; it has weight {f.weight}, not {value}"
@@ -172,13 +166,13 @@ def _cmd_solve(args) -> int:
         witness = str(f)
     else:
         if args.param == "gamma":
-            value, vs = domination_number(g, cap=args.cap_bnb)
+            value, vs = domination_number(g)
         elif args.param == "tuple":
-            value, vs = tuple_domination_number(g, args.k, cap=args.cap_bnb)
+            value, vs = tuple_domination_number(g, args.k)
         elif args.param == "limited_packing":
-            value, vs = limited_packing_number(g, args.k, cap=args.cap_bnb)
+            value, vs = limited_packing_number(g, args.k)
         else:
-            value, vs = packing_number(g, cap=args.cap_bnb)
+            value, vs = packing_number(g)
         witness = " ".join(str(v) for v in vs.sorted_members())
         bad = vertex_set_violations(g, vs)
         if bad or vs.size != value:
@@ -195,7 +189,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bounds(args) -> int:
     g = _load_graph(args.input)
-    report = audit_graph(g, bnb_cap=args.cap_bnb)
+    report = audit_graph(g)
     if args.json:
         print(report.to_json_text())
         return 0
@@ -220,7 +214,6 @@ def _corpus_spec(args) -> CorpusSpec:
         count=args.count,
         p=args.p,
         seed=args.seed,
-        bnb_cap=args.cap_bnb,
     )
 
 

@@ -11,13 +11,12 @@ L_{k+1} >= L_k + 1 and gamma_x(k+1) >= gamma_xk + 1.
 
 from __future__ import annotations
 
-from .graphs import Graph
+from .graphs import Graph, bits
 from .solvers import (
     ROLE_LIMITED_PACKING,
     ROLE_TUPLE_DOMINATING,
     SignedFunction,
     VertexSet,
-    greedy_limited_packing_mask,
     vertex_set_violations,
 )
 
@@ -40,9 +39,14 @@ def greedy_limited_packing(g: Graph, k: int) -> VertexSet:
     """Inclusion-maximal k-limited packing from an ascending-index scan."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    mask = greedy_limited_packing_mask(g, k)
-    members = frozenset(v for v in range(g.n) if mask >> v & 1)
-    return VertexSet(members, ROLE_LIMITED_PACKING, k)
+    load = [0] * g.n
+    members = []
+    for v in range(g.n):
+        if all(load[u] < k for u in bits(g.closed[v])):
+            members.append(v)
+            for u in bits(g.closed[v]):
+                load[u] += 1
+    return VertexSet(frozenset(members), ROLE_LIMITED_PACKING, k)
 
 
 def augment_packing(g: Graph, B: VertexSet, k: int) -> VertexSet:

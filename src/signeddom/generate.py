@@ -18,7 +18,8 @@ KINDS = ("complete", "path", "cycle", "star", "spider", "random_tree", "random_c
 TREE_ENUM_MAX_N = 9
 
 _MASK64 = (1 << 64) - 1
-_DEFAULT_RETRY_CAP = 1000
+# Draws random_connected makes before it gives up on a connected sample.
+_RETRY_CAP = 1000
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -97,18 +98,18 @@ def random_tree(n: int, seed: int) -> Graph:
     return Graph(n, prufer_to_edges(seq, n))
 
 
-def random_connected(n: int, p: float, seed: int, retry_cap: int = _DEFAULT_RETRY_CAP) -> Graph:
+def random_connected(n: int, p: float, seed: int) -> Graph:
     """G(n, p) conditioned on connectivity by rejection sampling."""
     _require(n >= 1, f"random_connected needs n >= 1, got {n}")
     _require(0.0 < p <= 1.0, f"edge probability must be in (0,1], got {p}")
     rng = random.Random(seed)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for _ in range(retry_cap):
+    for _ in range(_RETRY_CAP):
         edges = [e for e in pairs if rng.random() < p]
         g = Graph(n, edges)
         if g.is_connected():
             return g
-    raise ValueError(f"no connected G({n},{p}) sample within {retry_cap} retries")
+    raise ValueError(f"no connected G({n},{p}) sample within {_RETRY_CAP} retries")
 
 
 def generate(kind: str, params: dict, seed: int = 0) -> Graph:
@@ -126,9 +127,7 @@ def generate(kind: str, params: dict, seed: int = 0) -> Graph:
     if kind == "random_tree":
         return random_tree(params["n"], seed)
     if kind == "random_connected":
-        return random_connected(
-            params["n"], params.get("p", 0.5), seed, params.get("retry_cap", _DEFAULT_RETRY_CAP)
-        )
+        return random_connected(params["n"], params.get("p", 0.5), seed)
     raise ValueError(f"unknown generator kind {kind!r}; expected one of {KINDS}")
 
 

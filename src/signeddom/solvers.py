@@ -26,6 +26,11 @@ solver skips the walk: same value, and W, just as optimal and valid but not
 lex-least.
 A transparent oracle that enumerates all 2^n sign vectors is the independent
 second route for the signed domination number.
+
+Each route has one fixed size cap, set here and nowhere else: ``BNB_CAP``
+for the kernel, shared by all five parameters and checked once per solve in
+``_solve_packing``, and ``ORACLE_CAP`` for the oracle. Larger inputs raise
+``SizeCapError``.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ ROLE_PACKING = "packing"
 
 
 class SizeCapError(ValueError):
-    """Input exceeds the configured solver size cap."""
+    """Input exceeds the solver's size cap (BNB_CAP, or ORACLE_CAP for the oracle)."""
 
 
 @dataclass(frozen=True)
@@ -203,12 +208,7 @@ def forced_plus_mask(g: Graph) -> int:
     return mask
 
 
-def signed_domination(
-    g: Graph,
-    mode: str = "branch_and_bound",
-    oracle_cap: int = ORACLE_CAP,
-    bnb_cap: int = BNB_CAP,
-):
+def signed_domination(g: Graph, mode: str = "branch_and_bound"):
     """Minimum-weight valid sign assignment, with its witness.
 
     Fast path: when every vertex is isolated, a leaf, or a support, those
@@ -223,11 +223,11 @@ def signed_domination(
     if forced_plus_mask(g) == g.full_mask:
         return n, SignedFunction(tuple([1] * n))
     if mode == "oracle":
-        if n > oracle_cap:
-            raise SizeCapError(f"oracle mode capped at n <= {oracle_cap}, got {n}")
+        if n > ORACLE_CAP:
+            raise SizeCapError(f"oracle mode capped at n <= {ORACLE_CAP}, got {n}")
         return _sdf_oracle(g)
     if mode in ("branch_and_bound", "bnb"):
-        size, minus = _solve_packing(g, [d // 2 for d in g.deg], bnb_cap, True)
+        size, minus = _solve_packing(g, [d // 2 for d in g.deg], True)
         return n - 2 * size, SignedFunction.from_minus_set(n, bits(minus))
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -327,16 +327,16 @@ class DegreeOrder:
         self.drop = drop
 
 
-def domination_number(g: Graph, cap: int = BNB_CAP, lex_least: bool = True):
+def domination_number(g: Graph, *, lex_least: bool = True):
     """Minimum dominating set (gamma = gamma_x1); isolated vertices are members.
 
     ``lex_least`` is passed to ``tuple_domination_number``.
     """
-    size, vs = tuple_domination_number(g, 1, cap, lex_least)
+    size, vs = tuple_domination_number(g, 1, lex_least=lex_least)
     return size, VertexSet(vs.members, ROLE_DOMINATING)
 
 
-def tuple_domination_number(g: Graph, k: int, cap: int = BNB_CAP, lex_least: bool = True):
+def tuple_domination_number(g: Graph, k: int, *, lex_least: bool = True):
     """Minimum k-tuple dominating set; requires 1 <= k <= delta + 1.
 
     D is k-tuple dominating iff its complement S has |N[v] & S| <= deg(v)+1-k
@@ -348,11 +348,11 @@ def tuple_domination_number(g: Graph, k: int, cap: int = BNB_CAP, lex_least: boo
     delta = min(g.deg) if g.n else 0
     if not 1 <= k <= delta + 1:
         raise ValueError(f"k must satisfy 1 <= k <= delta+1 = {delta + 1}, got {k}")
-    size, s = _solve_packing(g, [d + 1 - k for d in g.deg], cap, lex_least, least_complement=True)
+    size, s = _solve_packing(g, [d + 1 - k for d in g.deg], lex_least, least_complement=True)
     return g.n - size, VertexSet(frozenset(bits(g.full_mask & ~s)), ROLE_TUPLE_DOMINATING, k)
 
 
-def limited_packing_number(g: Graph, k: int, cap: int = BNB_CAP, lex_least: bool = True):
+def limited_packing_number(g: Graph, k: int, *, lex_least: bool = True):
     """Maximum k-limited packing; requires k >= 1.
 
     The value is found in ascending-degree order, and the set returned is the
@@ -362,29 +362,17 @@ def limited_packing_number(g: Graph, k: int, cap: int = BNB_CAP, lex_least: bool
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    size, s = _solve_packing(g, [k] * g.n, cap, lex_least)
+    size, s = _solve_packing(g, [k] * g.n, lex_least)
     return size, VertexSet(frozenset(bits(s)), ROLE_LIMITED_PACKING, k)
 
 
-def packing_number(g: Graph, cap: int = BNB_CAP, lex_least: bool = True):
+def packing_number(g: Graph, *, lex_least: bool = True):
     """Maximum packing (pairwise-disjoint closed neighborhoods); equals L_1.
 
     ``lex_least`` is passed to ``limited_packing_number``.
     """
-    size, vs = limited_packing_number(g, 1, cap, lex_least)
+    size, vs = limited_packing_number(g, 1, lex_least=lex_least)
     return size, VertexSet(vs.members, ROLE_PACKING)
-
-
-def greedy_limited_packing_mask(g: Graph, k: int) -> int:
-    """Ascending-index maximal k-limited packing; cheap lower-bound seed."""
-    load = [0] * g.n
-    mask = 0
-    for v in range(g.n):
-        if all(load[u] < k for u in bits(g.closed[v])):
-            mask |= 1 << v
-            for u in bits(g.closed[v]):
-                load[u] += 1
-    return mask
 
 
 # The DegreeOrder of the graph solved last. One slot: it serves back-to-back
@@ -393,18 +381,19 @@ def greedy_limited_packing_mask(g: Graph, k: int) -> int:
 _last_order: DegreeOrder | None = None
 
 
-def _solve_packing(g: Graph, cap, n_max: int, lex_least: bool, least_complement: bool = False):
+def _solve_packing(g: Graph, cap, lex_least: bool, least_complement: bool = False):
     """The kernel's (|S|, S as a bitmask) on g, with S in g's own labels.
 
-    SizeCapError when g has more than ``n_max`` vertices. The value pass runs
-    on g's ``DegreeOrder``, reused when g is the graph solved last. Without
+    ``cap`` holds the per-vertex capacities, in g's labels. SizeCapError when
+    g has more than ``BNB_CAP`` vertices. The value pass runs on g's
+    ``DegreeOrder``, reused when g is the graph solved last. Without
     ``lex_least`` it maps that first optimum back to g's labels. With it the
     witness walk of ``_lex_least`` returns the lexicographically least optimal
     S, or with ``least_complement`` the one whose complement is.
     """
     global _last_order
-    if g.n > n_max:
-        raise SizeCapError(f"branch-and-bound capped at n <= {n_max}, got {g.n}")
+    if g.n > BNB_CAP:
+        raise SizeCapError(f"branch-and-bound capped at n <= {BNB_CAP}, got {g.n}")
     relabel = _last_order
     if relabel is None or relabel.graph is not g:
         relabel = _last_order = DegreeOrder(g)

@@ -78,10 +78,14 @@ def test_audit_disconnected_marks_na():
 
 def test_audit_cap():
     with pytest.raises(SizeCapError):
-        audit_graph(cycle_graph(12), bnb_cap=10)
+        audit_graph(cycle_graph(41))
     # A star's gamma_s skips the search, so the subset solvers enforce the cap.
     with pytest.raises(SizeCapError):
-        audit_graph(star_graph(12), bnb_cap=10)
+        audit_graph(star_graph(41))
+    # graph6 encodes at most 62 vertices; the solvers refuse these graphs first.
+    for g in (star_graph(100), cycle_graph(70)):
+        with pytest.raises(SizeCapError, match="capped at n <= 40"):
+            audit_graph(g)
 
 
 def test_audit_witness_reverifies():
@@ -166,9 +170,15 @@ def test_corpus_spec_rejects_sizes_beyond_the_cap():
     # This guard is why a sweep never meets a graph its solvers would refuse.
     with pytest.raises(ValueError, match="caps"):
         CorpusSpec(kind="path", n_min=3, n_max=41)
-    with pytest.raises(ValueError, match="caps"):
-        CorpusSpec(kind="random_connected", n_min=5, n_max=12, bnb_cap=10)
     CorpusSpec(kind="path", n_min=3, n_max=40)
+    # The cap is the solvers' constant, not a field.
+    with pytest.raises(TypeError):
+        CorpusSpec("path", 3, 5, bnb_cap=10)
+
+
+def test_cycle_corpus_starts_at_three():
+    # The CLI's default --n-min is 2, below the smallest cycle.
+    assert audit_corpus(CorpusSpec("cycle", 2, 5))["graphs"] == 3
 
 
 def test_trees_exhaustive_spec_rejects_n_max_beyond_enumeration():

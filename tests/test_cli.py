@@ -112,7 +112,21 @@ def test_solve_cap_error(tmp_path, capsys):
     big.write_text(serialize_graph(cycle_graph(21), "edgelist"))
     code, _, err = run(capsys, "solve", "--param", "gamma_s", "--mode", "oracle",
                        "--input", str(big))
-    assert code == 1 and "capped" in err
+    assert code == 1 and "capped at n <= 20" in err
+    big.write_text(serialize_graph(cycle_graph(41), "edgelist"))
+    code, _, err = run(capsys, "solve", "--param", "gamma", "--input", str(big))
+    assert code == 1 and "capped at n <= 40" in err
+
+
+def test_cap_flags_are_gone(tmp_path, capsys):
+    c6 = tmp_path / "c6.el"
+    c6.write_text(serialize_graph(cycle_graph(6), "edgelist"))
+    for argv in (
+        ("solve", "--param", "gamma_s", "--input", str(c6), "--cap-bnb", "10"),
+        ("audit", "--corpus", "path", "--n-max", "4", "--cap-bnb", "10"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and "unrecognized arguments" in err
 
 
 def test_solve_stdin(tmp_path, capsys, monkeypatch):
@@ -162,6 +176,13 @@ def test_audit_trees_exhaustive_cli(tmp_path, capsys):
     code, out, _ = run(capsys, "audit", "--corpus", "trees-exhaustive", "--n-max", "5")
     assert code == 0
     assert json.loads(out)["graphs"] == 1 + 3 + 16 + 125
+
+
+def test_audit_cycle_default_n_min_cli(capsys):
+    # --n-min defaults to 2; the cycle corpus starts at C3.
+    code, out, _ = run(capsys, "audit", "--corpus", "cycle", "--n-max", "5")
+    assert code == 0
+    assert json.loads(out)["graphs"] == 3
 
 
 def test_audit_violation_exit_code(capsys, monkeypatch):

@@ -70,7 +70,7 @@ def test_random_connected_validation():
 
 def test_random_connected_retry_cap():
     with pytest.raises(ValueError, match="retries"):
-        random_connected(10, 1e-9, 0, retry_cap=5)
+        random_connected(10, 1e-9, 0)
 
 
 def test_generate_dispatch():

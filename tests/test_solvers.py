@@ -31,7 +31,7 @@ from signeddom import (
     vertex_set_violations,
 )
 from signeddom.graphs import mask_of
-from signeddom.solvers import BNB_CAP, DegreeOrder, _solve_packing
+from signeddom.solvers import DegreeOrder, _solve_packing
 
 
 def _small_corpus():
@@ -404,8 +404,8 @@ def test_witness_walk_matches_both_lex_orders(k):
         seeded = [rng.randint(0, d + 1) for d in g.deg]
         for cap in ([d + 1 - k for d in g.deg], [d // 2 for d in g.deg], seeded):
             best, least, least_complement = _brute_lex_least(g, cap)
-            assert _solve_packing(g, cap, BNB_CAP, True) == (best, least)
-            assert _solve_packing(g, cap, BNB_CAP, True, least_complement=True) == (best, least_complement)
+            assert _solve_packing(g, cap, True) == (best, least)
+            assert _solve_packing(g, cap, True, least_complement=True) == (best, least_complement)
 
 
 def _complete_multipartite(*sizes):
@@ -452,8 +452,8 @@ def test_dominance_keeps_values_and_witnesses(name):
     assert (value, witness.sorted_members()) == oracles.brute_max_packing(g)
     for cap in ([d // 2 for d in g.deg], [d for d in g.deg], [2] * g.n):
         best, least, least_complement = _brute_lex_least(g, cap)
-        assert _solve_packing(g, cap, BNB_CAP, True) == (best, least)
-        assert _solve_packing(g, cap, BNB_CAP, True, least_complement=True) == (best, least_complement)
+        assert _solve_packing(g, cap, True) == (best, least)
+        assert _solve_packing(g, cap, True, least_complement=True) == (best, least_complement)
 
 
 def test_witness_walk_rejects_an_inconsistent_search(monkeypatch):
@@ -538,6 +538,13 @@ def test_subset_solver_cap():
         domination_number(cycle_graph(41))
     with pytest.raises(SizeCapError):
         limited_packing_number(cycle_graph(41), 1)
+    # The size cap is a module constant, and lex_least is keyword-only, so an
+    # old positional cap fails loudly instead of being read as lex_least.
+    g = cycle_graph(6)
+    with pytest.raises(TypeError):
+        domination_number(g, 40)
+    with pytest.raises(TypeError):
+        limited_packing_number(g, 1, 40)
 
 
 def test_vertex_set_violations_roles():
