@@ -298,7 +298,8 @@ def audit_graph(g: Graph, graph_id: str | None = None) -> BoundReport:
     gamma_s. The report carries subset values only, so those run with
     ``lex_least=False``; every subset value is still re-checked against the
     set found for it (see ``_certify_sets``). At delta // 2 == 1, L_k is
-    rho and takes its value and set. A failed re-check raises BoundViolation.
+    rho = L_1 and takes its value and set. A failed re-check raises
+    BoundViolation.
     The chain checks (n <= 10) take these values too: both chains start from
     the audit's value at k = 1 (rho, gamma) and reuse it at the audit's own k
     (L_k, gamma_xk), so they solve only the other k. On a tree that leaves
@@ -311,8 +312,7 @@ def audit_graph(g: Graph, graph_id: str | None = None) -> BoundReport:
     lp_k = profile.delta // 2 if profile.delta >= 2 else None
     lp_value, lp_set = None, None
     if lp_k == 1:
-        # L_1 is rho: its set, re-tagged, is certified as a 1-limited packing.
-        lp_value, lp_set = rho, VertexSet(rho_set.members, ROLE_LIMITED_PACKING, 1)
+        lp_value, lp_set = rho, rho_set
     elif lp_k is not None:
         lp_value, lp_set = limited_packing_number(g, lp_k, lex_least=False)
     tuple_k = (profile.delta + 1) // 2 + 1
@@ -420,8 +420,7 @@ def _invariant_checks(g: Graph, profile: StructuralProfile, report: BoundReport)
     claim1 = VertexSet(minus, ROLE_LIMITED_PACKING, profile.Delta // 2)
     checks["claim1_limited_packing"] = not vertex_set_violations(g, claim1)
 
-    claim2_k = (profile.delta + 1) // 2 + 1
-    claim2 = VertexSet(witness.plus_set, ROLE_TUPLE_DOMINATING, claim2_k)
+    claim2 = VertexSet(witness.plus_set, ROLE_TUPLE_DOMINATING, report.tuple_k)
     checks["claim2_tuple_dom"] = not vertex_set_violations(g, claim2)
 
     if report.limited_packing_k:
@@ -554,21 +553,20 @@ def _checked_reports(spec: CorpusSpec, jobs: int = 1):
 class _ReportFiles:
     """Temporary text files created beside report destinations.
 
-    When the ``with`` block ends normally, every file is closed and each one
-    opened with ``replace=True`` is renamed over its destination; the others
-    are scratch files. On an exception nothing is renamed. Either way no
+    When the ``with`` block ends normally, every file is closed and renamed
+    over its destination. On an exception nothing is renamed. Either way no
     temporary file is left behind.
     """
 
     def __init__(self):
-        self._files = []  # (file, temporary path, destination or None)
+        self._files = []  # (file, temporary path, destination)
 
     def __enter__(self):
         return self
 
-    def open(self, destination, replace: bool = True, newline=None):
+    def open(self, destination, newline=None):
         destination = os.fspath(destination)
-        if replace and os.path.isdir(destination):
+        if os.path.isdir(destination):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), destination)
         directory, name = os.path.split(destination)
         for serial in itertools.count():
@@ -581,7 +579,7 @@ class _ReportFiles:
                 raise OSError(exc.errno, exc.strerror, destination) from exc
             break
         fh = os.fdopen(fd, "w+", buffering=1 << 16, newline=newline)
-        self._files.append((fh, path, destination if replace else None))
+        self._files.append((fh, path, destination))
         return fh
 
     def __exit__(self, exc_type, exc, tb):
@@ -590,8 +588,7 @@ class _ReportFiles:
                 fh.close()
             if exc_type is None:
                 for _, path, destination in self._files:
-                    if destination is not None:
-                        os.replace(path, destination)
+                    os.replace(path, destination)
         finally:
             for _, path, _ in self._files:
                 with contextlib.suppress(FileNotFoundError):
@@ -616,7 +613,9 @@ def audit_corpus(
     beside the destinations, which are created before the first graph is
     audited; only the summary aggregates stay in memory. The files are renamed
     into place when the sweep completes, so an abort or error leaves the
-    destinations as they were.
+    destinations as they were. Until the summary is known, the JSON reports
+    wait in an unnamed temporary file in the JSON destination's directory,
+    so not even a killed process leaves that copy behind.
     """
     total = 0
     sharp_hist = {name: 0 for name in BOUND_ORDER}
@@ -624,14 +623,18 @@ def audit_corpus(
     gap_max = {name: 0 for name in BOUND_ORDER}
     gap_count = {name: 0 for name in BOUND_ORDER}
 
-    with _ReportFiles() as files:
+    with _ReportFiles() as files, contextlib.ExitStack() as stack:
         csv_out = json_out = spool = None
         if csv_path is not None:
             csv_out = files.open(csv_path, newline="")
             csv_out.write(CSV_HEADER + "\n")
         if json_path is not None:
             json_out = files.open(json_path)
-            spool = files.open(json_path, replace=False)  # the reports, until the summary is known
+            # Imported only here, so importing the package does not load it.
+            import tempfile
+
+            directory = os.path.dirname(os.fspath(json_path)) or os.curdir
+            spool = stack.enter_context(tempfile.TemporaryFile("w+", buffering=1 << 16, dir=directory))
 
         for report in _checked_reports(spec, jobs):
             total += 1

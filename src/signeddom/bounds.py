@@ -14,7 +14,8 @@ Bound identifiers (also the report-schema column names):
                       / (ceil(d*/2) + floor(D/2) + 1), needs nonempty core
   thm3_2_ii   lower   ((ceil(3d*/2) - floor(3D/2) + 3)n + 2(floor(D/2)*l + odd))
                       / (ceil(3d*/2) + floor(3D/2) + 3), needs nonempty core
-  thm3_3      lower   -n + 2*max(ceil((D+2)/2), ceil((delta + 2*gamma)/2))
+  thm3_3      lower   -n + 2*max(ceil((D+2)/2), ceil((delta + 2*gamma)/2)),
+                      needs n >= 1
   thm3_4_tree lower   ((2*ceil(d*/2) - 1)n + 2(l - s + 2)) / (2*ceil(d*/2) + 1)
                       for trees; reported as the exact value n when the core
                       is empty
@@ -132,8 +133,11 @@ def lb_max_degree_domination(profile: StructuralProfile, gamma: int) -> Bound:
     """Lower bound from the maximum degree or the exact domination number.
 
     ``gamma`` must be the exact domination number; it is an input so that the
-    evaluator stays a pure formula.
+    evaluator stays a pure formula. The proof takes a vertex of maximum
+    degree, so the bound does not apply to the null graph.
     """
+    if profile.n == 0:
+        return not_applicable("thm3_3", "n = 0")
     best = max(_ceil_half(profile.Delta + 2), _ceil_half(profile.delta + 2 * gamma))
     raw = Fraction(-profile.n + 2 * best)
     return _bound("thm3_3", profile.n, raw)

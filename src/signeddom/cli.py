@@ -1,7 +1,8 @@
 """Command-line front end: gen, convert, solve, bounds, audit, hunt.
 
 Exit codes: 0 success, 1 usage or input error, 2 a bound violation was found
-by audit/hunt (the loud-failure path). All randomness is controlled by --seed.
+by bounds, audit or hunt (the loud-failure path). All randomness is
+controlled by --seed.
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("gamma_s", "gamma", "tuple", "limited_packing", "rho"))
     solve.add_argument("--k", type=int, default=1, help="k for tuple/limited_packing")
     solve.add_argument("--input", required=True)
-    solve.add_argument("--mode", choices=("oracle", "bnb"), default="bnb")
+    solve.add_argument("--mode", choices=("oracle", "bnb"), default="bnb",
+                       help="oracle enumerates all 2^n assignments (gamma_s only)")
     solve.add_argument("--json", action="store_true")
     solve.set_defaults(func=_cmd_solve)
 
@@ -155,6 +157,8 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.mode == "oracle" and args.param != "gamma_s":
+        raise ValueError(f"--mode oracle solves only gamma_s, not {args.param}")
     g = _load_graph(args.input)
     if args.param == "gamma_s":
         value, f = signed_domination(g, args.mode)
@@ -192,17 +196,20 @@ def _cmd_bounds(args) -> int:
     report = audit_graph(g)
     if args.json:
         print(report.to_json_text())
-        return 0
-    print(f"graph {report.graph_id}: n={report.n} m={report.m} gamma_s={report.gamma_s}")
-    for b, satisfied, gap in report.bounds:
-        if not b.applicable:
-            print(f"  {b.name:<12} {b.kind:<5} NA ({b.reason})")
-            continue
-        status = "ok" if satisfied else "VIOLATED"
-        print(
-            f"  {b.name:<12} {b.kind:<5} raw={b.raw} tightened={b.tightened} "
-            f"gap={gap} {status}"
-        )
+    else:
+        print(f"graph {report.graph_id}: n={report.n} m={report.m} gamma_s={report.gamma_s}")
+        for b, satisfied, gap in report.bounds:
+            if not b.applicable:
+                print(f"  {b.name:<12} {b.kind:<5} NA ({b.reason})")
+                continue
+            status = "ok" if satisfied else "VIOLATED"
+            print(
+                f"  {b.name:<12} {b.kind:<5} raw={b.raw} tightened={b.tightened} "
+                f"gap={gap} {status}"
+            )
+    problems = report.violations()
+    if problems:
+        raise BoundViolation("; ".join(problems), report.graph6, report)
     return 0
 
 

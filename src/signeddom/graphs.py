@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-# One machine-word tier is the common case; multi-word masks degrade gracefully
-# up to this hard cap.
+# A sanity cap on input size. The solvers stop well below it, at 40 vertices
+# (solvers.BNB_CAP), and the graph6 codec at 62.
 MAX_VERTICES = 512
 
 

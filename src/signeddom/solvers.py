@@ -42,10 +42,8 @@ from .graphs import Graph, bits, mask_of
 ORACLE_CAP = 20
 BNB_CAP = 40
 
-ROLE_DOMINATING = "dominating"
 ROLE_TUPLE_DOMINATING = "tuple_dominating"
 ROLE_LIMITED_PACKING = "limited_packing"
-ROLE_PACKING = "packing"
 
 
 class SizeCapError(ValueError):
@@ -97,11 +95,11 @@ class SignedFunction:
 
 @dataclass(frozen=True)
 class VertexSet:
-    """A vertex subset certificate with the role it claims to play."""
+    """A vertex subset certificate: a k-tuple dominating set or a k-limited packing."""
 
     members: frozenset
     role: str
-    k: int = 1
+    k: int
 
     @property
     def size(self) -> int:
@@ -133,22 +131,13 @@ def vertex_set_violations(g: Graph, vs: VertexSet) -> list:
     if mask & ~g.full_mask:
         raise ValueError("member index outside graph")
     out = []
-    if vs.role == ROLE_DOMINATING:
-        for v in range(g.n):
-            if not (mask >> v & 1) and not (g.adj[v] & mask):
-                out.append(v)
-    elif vs.role == ROLE_TUPLE_DOMINATING:
+    if vs.role == ROLE_TUPLE_DOMINATING:
         for v in range(g.n):
             if (g.closed[v] & mask).bit_count() < vs.k:
                 out.append(v)
     elif vs.role == ROLE_LIMITED_PACKING:
         for v in range(g.n):
             if (g.closed[v] & mask).bit_count() > vs.k:
-                out.append(v)
-    elif vs.role == ROLE_PACKING:
-        # Pairwise-disjoint closed neighborhoods <=> no vertex sees 2 members.
-        for v in range(g.n):
-            if (g.closed[v] & mask).bit_count() > 1:
                 out.append(v)
     else:
         raise ValueError(f"unknown vertex-set role {vs.role!r}")
@@ -328,12 +317,8 @@ class DegreeOrder:
 
 
 def domination_number(g: Graph, *, lex_least: bool = True):
-    """Minimum dominating set (gamma = gamma_x1); isolated vertices are members.
-
-    ``lex_least`` is passed to ``tuple_domination_number``.
-    """
-    size, vs = tuple_domination_number(g, 1, lex_least=lex_least)
-    return size, VertexSet(vs.members, ROLE_DOMINATING)
+    """Minimum dominating set: ``tuple_domination_number`` at k = 1 (gamma = gamma_x1)."""
+    return tuple_domination_number(g, 1, lex_least=lex_least)
 
 
 def tuple_domination_number(g: Graph, k: int, *, lex_least: bool = True):
@@ -367,12 +352,8 @@ def limited_packing_number(g: Graph, k: int, *, lex_least: bool = True):
 
 
 def packing_number(g: Graph, *, lex_least: bool = True):
-    """Maximum packing (pairwise-disjoint closed neighborhoods); equals L_1.
-
-    ``lex_least`` is passed to ``limited_packing_number``.
-    """
-    size, vs = limited_packing_number(g, 1, lex_least=lex_least)
-    return size, VertexSet(vs.members, ROLE_PACKING)
+    """Maximum packing: ``limited_packing_number`` at k = 1 (rho = L_1)."""
+    return limited_packing_number(g, 1, lex_least=lex_least)
 
 
 # The DegreeOrder of the graph solved last. One slot: it serves back-to-back

@@ -76,6 +76,13 @@ def test_audit_disconnected_marks_na():
     assert report.gamma_s == 4  # exact values still computed
 
 
+def test_audit_null_graph_has_no_violation():
+    report = audit_graph(Graph(0))
+    assert report.violations() == []
+    b, satisfied, gap = report.bound("thm3_3")
+    assert (b.applicable, b.reason, satisfied, gap) == (False, "n = 0", None, None)
+
+
 def test_audit_cap():
     with pytest.raises(SizeCapError):
         audit_graph(cycle_graph(41))
@@ -449,6 +456,21 @@ def test_aborted_sweep_writes_nothing(monkeypatch, tmp_path, jobs):
                      csv_path=tmp_path / "r.csv", json_path=old, jobs=jobs)
     assert os.listdir(tmp_path) == ["r.json"]
     assert old.read_text() == "earlier report\n"
+
+
+def test_json_spool_has_no_name(monkeypatch, tmp_path):
+    # The JSON reports wait for the summary in an unnamed file, so during the
+    # sweep the directory holds only the CSV and JSON temporaries.
+    listings = []
+    real = audit_mod.audit_graph
+    monkeypatch.setattr(audit_mod, "audit_graph",
+                        lambda g, *a, **k: listings.append(sorted(os.listdir(tmp_path))) or real(g, *a, **k))
+    audit_corpus(CorpusSpec(kind="trees_exhaustive", n_min=2, n_max=4),
+                 csv_path=tmp_path / "r.csv", json_path=tmp_path / "r.json")
+    pid = os.getpid()
+    assert len(listings) == 1 + 3 + 16
+    assert all(names == [f".r.csv.{pid}-0.tmp", f".r.json.{pid}-0.tmp"] for names in listings), listings[0]
+    assert sorted(os.listdir(tmp_path)) == ["r.csv", "r.json"]
 
 
 def test_sweep_memory_stays_flat(tmp_path):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from signeddom import (
+    Graph,
     complete_graph,
     cycle_graph,
     derive_seed,
@@ -108,6 +109,10 @@ def test_lb_max_degree_domination_values():
     assert lb_max_degree_domination(_profile(complete_graph(6)), gamma=1).raw == 2
     assert lb_max_degree_domination(_profile(cycle_graph(6)), gamma=2).raw == 0
     assert lb_max_degree_domination(_profile(complete_graph(5)), gamma=1).raw == 1
+    assert lb_max_degree_domination(_profile(Graph(1)), gamma=1).raw == 1
+    # The proof takes a vertex of maximum degree, which the null graph lacks.
+    b = lb_max_degree_domination(_profile(Graph(0)), gamma=0)
+    assert (b.applicable, b.reason, b.raw, b.tightened) == (False, "n = 0", None, None)
 
 
 # -- tree bounds --------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 
+import signeddom.audit as audit_mod
 import signeddom.cli as cli_mod
 from signeddom import BoundViolation, audit_graph, cycle_graph, parse_graph, path_graph, serialize_graph, verify_sdf
 from signeddom.cli import main
@@ -95,16 +97,25 @@ def test_solve_rejects_invalid_subset_witness(tmp_path, capsys, monkeypatch):
     c6.write_text(serialize_graph(cycle_graph(6), "edgelist"))
     # {0} dominates only 5, 0 and 1 of C6.
     monkeypatch.setattr(cli_mod, "domination_number",
-                        lambda g, *a, **k: (1, VertexSet(frozenset({0}), "dominating")))
+                        lambda g, *a, **k: (1, VertexSet(frozenset({0}), "tuple_dominating", 1)))
     code, out, err = run(capsys, "solve", "--param", "gamma", "--input", str(c6))
     assert code == 1 and out == ""
     assert "error: witness 0 is invalid at vertices [2, 3, 4]" in err
     # A valid set whose size is not the value is rejected too.
     monkeypatch.setattr(cli_mod, "packing_number",
-                        lambda g, *a, **k: (3, VertexSet(frozenset({0, 3}), "packing")))
+                        lambda g, *a, **k: (3, VertexSet(frozenset({0, 3}), "limited_packing", 1)))
     code, out, err = run(capsys, "solve", "--param", "rho", "--input", str(c6))
     assert code == 1 and out == ""
     assert "error: witness 0 3 is invalid at vertices []; it has 2 members, not 3" in err
+
+
+def test_oracle_mode_is_for_gamma_s_only(tmp_path, capsys):
+    c6 = tmp_path / "c6.el"
+    c6.write_text(serialize_graph(cycle_graph(6), "edgelist"))
+    for param in ("gamma", "tuple", "limited_packing", "rho"):
+        code, out, err = run(capsys, "solve", "--param", param, "--mode", "oracle", "--input", str(c6))
+        assert code == 1 and out == ""
+        assert f"error: --mode oracle solves only gamma_s, not {param}" in err
 
 
 def test_solve_cap_error(tmp_path, capsys):
@@ -146,6 +157,28 @@ def test_bounds_command(tmp_path, capsys):
     code, out, _ = run(capsys, "bounds", "--input", str(p7), "--json")
     doc = json.loads(out)
     assert doc["exact"]["gamma_s"] == 5
+    null = tmp_path / "null.el"
+    null.write_text("0 0\n")
+    code, out, err = run(capsys, "bounds", "--input", str(null))
+    assert code == 0 and err == ""
+    assert "thm3_3       lower NA (n = 0)" in out and "VIOLATED" not in out
+
+
+def test_bounds_violation_exit_code(tmp_path, capsys, monkeypatch):
+    c6 = tmp_path / "c6.el"
+    c6.write_text(serialize_graph(cycle_graph(6), "edgelist"))
+    # thm3_3 made to read n + 2 = 8 on C6, above gamma_s = 2.
+    real = audit_mod.lb_max_degree_domination
+    monkeypatch.setattr(audit_mod, "lb_max_degree_domination",
+                        lambda profile, gamma: dataclasses.replace(real(profile, gamma), tightened=profile.n + 2))
+    code, out, err = run(capsys, "bounds", "--input", str(c6))
+    assert code == 2
+    assert "thm3_3       lower raw=0 tightened=8 gap=6 VIOLATED" in out
+    assert "VIOLATION: bound thm3_3 violated (raw=0, gamma_s=2)" in err and "graph6: E" in err
+    code, out, err = run(capsys, "bounds", "--input", str(c6), "--json")
+    assert code == 2
+    assert json.loads(out)["bounds"][3]["satisfied"] is False
+    assert "VIOLATION: bound thm3_3 violated" in err
 
 
 def test_audit_command_writes_reports(tmp_path, capsys):

@@ -174,7 +174,7 @@ def test_shrink_p2():
     g = Graph(2, [(0, 1)])
     out = shrink_tuple_dominating(g, _td({0, 1}, 2), 2)
     assert out.members == frozenset({1})
-    assert vertex_set_violations(g, VertexSet(out.members, "dominating")) == []
+    assert vertex_set_violations(g, VertexSet(out.members, "tuple_dominating", 1)) == []
 
 
 def test_shrink_validation():

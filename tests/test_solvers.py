@@ -305,7 +305,7 @@ def test_value_only_domination_keeps_values():
         value, _ = domination_number(g)
         fast_value, fast = domination_number(g, lex_least=False)
         assert fast_value == value == fast.size
-        assert fast.role == "dominating" and vertex_set_violations(g, fast) == []
+        assert (fast.role, fast.k) == ("tuple_dominating", 1) and vertex_set_violations(g, fast) == []
 
 
 def test_value_only_sets_follow_the_degree_order():
@@ -549,15 +549,30 @@ def test_subset_solver_cap():
 
 def test_vertex_set_violations_roles():
     g = cycle_graph(6)
-    ok = VertexSet(frozenset({0, 3}), "packing")
+    ok = VertexSet(frozenset({0, 3}), "limited_packing", 1)
     assert vertex_set_violations(g, ok) == []
-    bad = VertexSet(frozenset({0, 1}), "packing")
+    bad = VertexSet(frozenset({0, 1}), "limited_packing", 1)
     assert vertex_set_violations(g, bad) != []
-    assert vertex_set_violations(g, VertexSet(frozenset({0}), "dominating")) == [2, 3, 4]
-    with pytest.raises(ValueError, match="unknown vertex-set role"):
-        vertex_set_violations(g, VertexSet(frozenset(), "clique"))
+    assert vertex_set_violations(g, VertexSet(frozenset({0}), "tuple_dominating", 1)) == [2, 3, 4]
+    # Two kinds only: a dominating set is gamma_x1's, a packing L_1's.
+    for role in ("dominating", "packing", "clique"):
+        with pytest.raises(ValueError, match="unknown vertex-set role"):
+            vertex_set_violations(g, VertexSet(frozenset(), role, 1))
     with pytest.raises(ValueError, match="outside"):
-        vertex_set_violations(g, VertexSet(frozenset({9}), "packing"))
+        vertex_set_violations(g, VertexSet(frozenset({9}), "limited_packing", 1))
+    with pytest.raises(TypeError):
+        VertexSet(frozenset({0}), "limited_packing")
+
+
+def test_gamma_and_rho_are_the_k1_results():
+    for g in _small_corpus():
+        for lex_least in (True, False):
+            gamma = domination_number(g, lex_least=lex_least)
+            assert gamma == tuple_domination_number(g, 1, lex_least=lex_least)
+            assert (gamma[1].role, gamma[1].k) == ("tuple_dominating", 1)
+            rho = packing_number(g, lex_least=lex_least)
+            assert rho == limited_packing_number(g, 1, lex_least=lex_least)
+            assert (rho[1].role, rho[1].k) == ("limited_packing", 1)
 
 
 def test_exhaustive_all_small_graphs():
