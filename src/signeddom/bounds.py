@@ -29,7 +29,6 @@ vertices.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,9 +58,13 @@ BOUND_KINDS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Bound:
-    """One evaluated bound: exact rational value plus its parity tightening."""
+    """One evaluated bound: exact rational value plus its parity tightening.
+
+    A plain slotted value record: the audit builds seven per graph, and
+    nothing changes one after it is built.
+    """
 
     name: str
     kind: str
@@ -72,13 +75,18 @@ class Bound:
 
 
 def parity_tighten(raw: Fraction, n: int, kind: str) -> int:
-    """Nearest integer on the admissible side of ``raw`` with the parity of n."""
+    """Nearest integer on the admissible side of ``raw`` with the parity of n.
+
+    A lower bound rounds up and an upper bound down, to the first integer
+    with the parity of n. The ceiling and floor come from integer division of
+    ``raw``'s numerator by its (positive) denominator, so an int works too.
+    """
     if kind == LOWER:
-        t = math.ceil(raw)
+        t = -(-raw.numerator // raw.denominator)
         if (t - n) % 2:
             t += 1
     elif kind == UPPER:
-        t = math.floor(raw)
+        t = raw.numerator // raw.denominator
         if (t - n) % 2:
             t -= 1
     else:

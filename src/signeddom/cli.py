@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="compute one exact parameter with certificate")
     solve.add_argument("--param", required=True,
                        choices=("gamma_s", "gamma", "tuple", "limited_packing", "rho"))
-    solve.add_argument("--k", type=int, default=1, help="k for tuple/limited_packing")
+    solve.add_argument("--k", type=int, help="k for tuple/limited_packing (required there, refused elsewhere)")
     solve.add_argument("--input", required=True)
     solve.add_argument("--mode", choices=("oracle", "bnb"), default="bnb",
                        help="oracle enumerates all 2^n assignments (gamma_s only)")
@@ -159,6 +159,11 @@ def _cmd_convert(args) -> int:
 def _cmd_solve(args) -> int:
     if args.mode == "oracle" and args.param != "gamma_s":
         raise ValueError(f"--mode oracle solves only gamma_s, not {args.param}")
+    if args.param in ("tuple", "limited_packing"):
+        if args.k is None:
+            raise ValueError(f"--param {args.param} needs --k")
+    elif args.k is not None:
+        raise ValueError(f"--k applies only to tuple and limited_packing, not {args.param}")
     g = _load_graph(args.input)
     if args.param == "gamma_s":
         value, f = signed_domination(g, args.mode)

@@ -114,14 +114,15 @@ def mask_of(members) -> int:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StructuralProfile:
     """Derived structural data of a graph.
 
     ``core`` is the set of vertices that are neither isolated, leaves, nor
     support vertices (a support vertex is one adjacent to a degree-1 vertex).
     ``delta_star`` is the minimum degree over the core, or None when the core
-    is empty.
+    is empty. A plain slotted value record, built once per audited graph;
+    nothing changes one after it is built.
     """
 
     n: int
@@ -151,30 +152,38 @@ class StructuralProfile:
 
 
 def structural_profile(g: Graph) -> StructuralProfile:
-    """Compute degrees, leaf/support/core partition, and the odd-degree vertices."""
+    """Compute degrees, leaf/support/core partition, and the odd-degree vertices.
+
+    One pass over the degrees builds the isolated, leaf, support and odd sets
+    as bit masks (a leaf's one neighbour is a support); the profile holds
+    them as frozensets.
+    """
     n = g.n
     deg = g.deg
-    delta = min(deg) if n else 0
-    Delta = max(deg) if n else 0
-    isolated = frozenset(v for v in range(n) if deg[v] == 0)
-    leaves = frozenset(v for v in range(n) if deg[v] == 1)
-    leaf_mask = mask_of(leaves)
-    supports = frozenset(v for v in range(n) if g.adj[v] & leaf_mask)
-    core = frozenset(range(n)) - isolated - leaves - supports
-    delta_star = min((deg[v] for v in core), default=None)
-    odd = frozenset(v for v in range(n) if deg[v] % 2 == 1)
+    adj = g.adj
+    isolated = leaves = supports = odd = 0
+    for v, d in enumerate(deg):
+        if d <= 1:
+            if d:
+                leaves |= 1 << v
+                supports |= adj[v]
+            else:
+                isolated |= 1 << v
+        if d & 1:
+            odd |= 1 << v
+    core = g.full_mask & ~(isolated | leaves | supports)
     connected = g.is_connected()
     return StructuralProfile(
         n=n,
         m=g.m,
-        delta=delta,
-        Delta=Delta,
-        isolated=isolated,
-        leaves=leaves,
-        supports=supports,
-        core=core,
-        delta_star=delta_star,
-        odd_vertices=odd,
+        delta=min(deg) if n else 0,
+        Delta=max(deg) if n else 0,
+        isolated=frozenset(bits(isolated)),
+        leaves=frozenset(bits(leaves)),
+        supports=frozenset(bits(supports)),
+        core=frozenset(bits(core)),
+        delta_star=min([deg[v] for v in bits(core)], default=None),
+        odd_vertices=frozenset(bits(odd)),
         is_connected=connected,
         is_tree=connected and n >= 1 and g.m == n - 1,
     )

@@ -16,9 +16,10 @@ last, so back-to-back solves on one graph share it. The value pass finds the
 optimum and an optimal set W. A lex-least solve then walks the vertices in
 ascending index order and puts each in S where some optimal set agrees with
 the choices made so far (for the domination side, leaves it out of S where
-one does). Where W already makes that choice it proves it possible; elsewhere
-the walk asks the kernel whether such a set exists, and a set found becomes
-the new W. So ``signed_domination`` returns the lexicographically smallest
+one does). Where W already makes that choice it proves it possible; where
+swapping one undecided member of W for the vertex keeps W feasible, the swap
+proves it; elsewhere the walk asks the kernel whether such a set exists, and
+a set found becomes the new W. So ``signed_domination`` returns the lexicographically smallest
 optimal assignment (comparing per-vertex values with -1 < +1), and each
 subset solver the lexicographically least optimal set, or for the domination
 side the least optimal dominating set. With ``lex_least=False`` a subset
@@ -35,7 +36,7 @@ for the kernel, shared by all five parameters and checked once per solve in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graphs import Graph, bits, mask_of
 
@@ -50,15 +51,27 @@ class SizeCapError(ValueError):
     """Input exceeds the solver's size cap (BNB_CAP, or ORACLE_CAP for the oracle)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedFunction:
-    """A +/-1 vertex labeling; the candidate or optimal signed dominating function."""
+    """A +/-1 vertex labeling; the candidate or optimal signed dominating function.
+
+    A frozen certificate. The loop that rejects values other than -1 and +1
+    also builds the mask of the +1 vertices, once per labeling, for
+    ``plus_mask`` and ``minus_mask`` to read; it takes no part in equality,
+    hashing or the repr.
+    """
 
     assignment: tuple
+    _plus: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if any(a not in (-1, 1) for a in self.assignment):
-            raise ValueError("assignment values must be -1 or +1")
+        plus = 0
+        for v, a in enumerate(self.assignment):
+            if a == 1:
+                plus |= 1 << v
+            elif a != -1:
+                raise ValueError("assignment values must be -1 or +1")
+        object.__setattr__(self, "_plus", plus)
 
     @property
     def n(self) -> int:
@@ -70,11 +83,11 @@ class SignedFunction:
 
     @property
     def plus_mask(self) -> int:
-        return mask_of(v for v, a in enumerate(self.assignment) if a == 1)
+        return self._plus
 
     @property
     def minus_mask(self) -> int:
-        return mask_of(v for v, a in enumerate(self.assignment) if a == -1)
+        return ((1 << len(self.assignment)) - 1) ^ self._plus
 
     @property
     def plus_set(self) -> frozenset:
@@ -144,9 +157,9 @@ def vertex_set_violations(g: Graph, vs: VertexSet) -> list:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PartitionStats:
-    """Edge statistics of the sign partition induced by an assignment."""
+    """Edge statistics of the sign partition induced by an assignment; a slotted value record."""
 
     e_plus: int
     e_minus: int
@@ -406,12 +419,15 @@ def _lex_least(relabel: DegreeOrder, cap, size: int, witness: int, least_complem
     order, each in S (or, with ``least_complement``, out of S) when some
     optimal set agrees with the decided prefix and that choice. ``witness``
     is always such a set: where it already makes the preferred choice it
-    proves that choice possible, and elsewhere the walk asks the kernel for
-    a set of the optimum's size over the undecided vertices, from the rooms
-    the prefix leaves; a set found becomes the witness. This is the greedy
-    that an index-order search trying the preferred choice first follows to
-    its first optimal leaf. RuntimeError if the final set is infeasible or
-    not of ``size`` members.
+    proves that choice possible. Elsewhere, on the in-first side, a swap
+    may prove it without a search: for an undecided member v of the witness
+    W that lies in N[u] at every u in N[i] whose room W uses up, W - v + i
+    is feasible and just as large, and becomes the witness. Failing that,
+    the walk asks the kernel for a set of the optimum's size over the
+    undecided vertices, from the rooms the prefix leaves; a set found
+    becomes the witness. This is the greedy that an index-order search
+    trying the preferred choice first follows to its first optimal leaf.
+    RuntimeError if the final set is infeasible or not of ``size`` members.
     """
     closed, nbhd = relabel.closed, relabel.nbhd
     room = list(cap)
@@ -438,12 +454,23 @@ def _lex_least(relabel: DegreeOrder, cap, size: int, witness: int, least_complem
             if not room[u]:
                 trial &= ~closed[u]
         if not witness & bit:
-            found, s = _max_packing(relabel, room, undecided & trial, need - 1)
-            if found < need - 1:
-                for u in nbhd[i]:
-                    room[u] += 1
-                continue
-            witness = members | bit | s
+            # Swap before asking: W - v + i is feasible, as large as W, and
+            # agrees with the prefix, for an undecided v in W that lies in
+            # N[u] at every u in N[i] whose room W already uses up. The
+            # highest such label is taken.
+            swap = witness & undecided
+            for u in nbhd[i]:
+                if (closed[u] & witness).bit_count() == cap[u]:
+                    swap &= closed[u]
+            if swap:
+                witness ^= bit | (1 << (swap.bit_length() - 1))
+            else:
+                found, s = _max_packing(relabel, room, undecided & trial, need - 1)
+                if found < need - 1:
+                    for u in nbhd[i]:
+                        room[u] += 1
+                    continue
+                witness = members | bit | s
         members |= bit
         avail = trial
     bad = [i for i, c in enumerate(closed) if (c & members).bit_count() > cap[i]]

@@ -118,6 +118,19 @@ def test_oracle_mode_is_for_gamma_s_only(tmp_path, capsys):
         assert f"error: --mode oracle solves only gamma_s, not {param}" in err
 
 
+def test_k_is_for_tuple_and_limited_packing_only(tmp_path, capsys):
+    c6 = tmp_path / "c6.el"
+    c6.write_text(serialize_graph(cycle_graph(6), "edgelist"))
+    for param in ("gamma_s", "gamma", "rho"):
+        code, out, err = run(capsys, "solve", "--param", param, "--k", "3", "--input", str(c6))
+        assert code == 1 and out == ""
+        assert f"error: --k applies only to tuple and limited_packing, not {param}" in err
+    for param in ("tuple", "limited_packing"):
+        code, out, err = run(capsys, "solve", "--param", param, "--input", str(c6))
+        assert code == 1 and out == ""
+        assert f"error: --param {param} needs --k" in err
+
+
 def test_solve_cap_error(tmp_path, capsys):
     big = tmp_path / "c21.el"
     big.write_text(serialize_graph(cycle_graph(21), "edgelist"))

@@ -408,6 +408,28 @@ def test_witness_walk_matches_both_lex_orders(k):
             assert _solve_packing(g, cap, True, least_complement=True) == (best, least_complement)
 
 
+def test_witness_walk_swaps_instead_of_asking(monkeypatch):
+    # On P5 with caps 1 the value pass finds W = {0, 4}. At vertex 3 the walk
+    # takes W - 4 + 3 (4 lies in N[3] and N[4], the neighbourhoods W fills)
+    # instead of asking the kernel for a set with 3; without the swap that
+    # is a second kernel call. On the n = 9 graph the swap saves two.
+    calls = []
+    kernel = solvers._max_packing
+
+    def counted(relabel, room, avail, target=None):
+        calls.append(target)
+        return kernel(relabel, room, avail, target)
+
+    g9 = random_connected(9, 0.5, derive_seed(515, 1))
+    assert _solve_packing(path_graph(5), [1] * 5, False) == (2, mask_of({0, 4}))
+    monkeypatch.setattr(solvers, "_max_packing", counted)
+    for g, cap in ((path_graph(5), [1] * 5), (g9, [d // 2 for d in g9.deg])):
+        best, least, _ = _brute_lex_least(g, cap)
+        calls.clear()
+        assert _solve_packing(g, cap, True) == (best, least)
+        assert calls == [None]
+
+
 def _complete_multipartite(*sizes):
     parts, start = [], 0
     for size in sizes:
