@@ -32,23 +32,25 @@ from .bounds import (
     tree_lower_bounds,
     ub_packing_min_degree,
 )
+from .certify import (
+    ROLE_LIMITED_PACKING,
+    ROLE_TUPLE_DOMINATING,
+    SignedFunction,
+    VertexSet,
+    check,
+    vertex_set_violations,
+)
 from .codecs import serialize_graph
 from .generate import TREE_ENUM_MAX_N, derive_seed, enumerate_labeled_trees, generate
 from .graphs import Graph, StructuralProfile, structural_profile
 from .solvers import (
     BNB_CAP,
-    ROLE_LIMITED_PACKING,
-    ROLE_TUPLE_DOMINATING,
-    SignedFunction,
-    VertexSet,
     domination_number,
     limited_packing_number,
     packing_number,
     partition_stats,
     signed_domination,
     tuple_domination_number,
-    verify_sdf,
-    vertex_set_violations,
 )
 
 CHECK_ORDER = (
@@ -294,12 +296,11 @@ def audit_graph(g: Graph, graph_id: str | None = None) -> BoundReport:
 
     Every solve runs back to back on g, so all of them, the chain checks
     included, share the solvers' one degree-order relabelling of g. The
-    gamma_s witness is re-checked with ``verify_sdf`` and its weight against
-    gamma_s. The report carries subset values only, so those run with
-    ``lex_least=False``; every subset value is still re-checked against the
-    set found for it (see ``_certify_sets``). At delta // 2 == 1, L_k is
-    rho = L_1 and takes its value and set. A failed re-check raises
-    BoundViolation.
+    report carries subset values only, so those run with ``lex_least=False``.
+    At delta // 2 == 1, L_k is rho = L_1 and takes its value and set. Each
+    of the five values is re-checked against its certificate by
+    ``certify.check``, with the role and k the audit asked for; a failed
+    re-check raises BoundViolation.
     The chain checks (n <= 10) take these values too: both chains start from
     the audit's value at k = 1 (rho, gamma) and reuse it at the audit's own k
     (L_k, gamma_xk), so they solve only the other k. On a tree that leaves
@@ -336,19 +337,16 @@ def audit_graph(g: Graph, graph_id: str | None = None) -> BoundReport:
         tuple_k=tuple_k,
         tuple_value=tuple_value,
     )
-    bad = verify_sdf(g, witness)
-    if bad or witness.weight != gamma_s:
-        raise BoundViolation(
-            f"gamma_s = {gamma_s} has a witness of weight {witness.weight} invalid at vertices {bad}",
-            g6,
-            report,
-        )
-    _certify_sets(
-        g,
-        report,
-        (("gamma", gamma, gamma_set), ("rho", rho, rho_set),
-         ("L_k", lp_value, lp_set), ("gamma_xk", tuple_value, tuple_set)),
-    )
+    for name, value, cert, role, k in (
+        ("gamma_s", gamma_s, witness, None, None),
+        ("gamma", gamma, gamma_set, ROLE_TUPLE_DOMINATING, 1),
+        ("rho", rho, rho_set, ROLE_LIMITED_PACKING, 1),
+        ("L_k", lp_value, lp_set, ROLE_LIMITED_PACKING, lp_k),
+        ("gamma_xk", tuple_value, tuple_set, ROLE_TUPLE_DOMINATING, tuple_k),
+    ):
+        problem = None if cert is None else check(g, name, value, cert, role, k)
+        if problem:
+            raise BoundViolation(problem, g6, report)
 
     if not profile.is_connected:
         bound_list = [not_applicable(name, "disconnected") for name in BOUND_ORDER]
@@ -380,20 +378,6 @@ def audit_graph(g: Graph, graph_id: str | None = None) -> BoundReport:
 
     report.checks = _invariant_checks(g, profile, report)
     return report
-
-
-def _certify_sets(g: Graph, report: BoundReport, certified) -> None:
-    """Raise BoundViolation unless each (name, value, set) has a valid set of that size."""
-    for name, value, vs in certified:
-        if vs is None:
-            continue
-        bad = vertex_set_violations(g, vs)
-        if bad or vs.size != value:
-            raise BoundViolation(
-                f"{name} = {value} has a certificate of size {vs.size} invalid at vertices {bad}",
-                report.graph6,
-                report,
-            )
 
 
 def _invariant_checks(g: Graph, profile: StructuralProfile, report: BoundReport) -> dict:

@@ -13,6 +13,7 @@ import sys
 
 from .audit import CORPUS_KINDS, BoundViolation, CorpusSpec, audit_corpus, audit_graph, hunt
 from .bounds import BOUND_ORDER
+from .certify import ROLE_LIMITED_PACKING, ROLE_TUPLE_DOMINATING, check
 from .codecs import FORMATS, detect_format, parse_graph, serialize_graph
 from .generate import KINDS as GENERATOR_KINDS, generate
 from .solvers import (
@@ -21,8 +22,6 @@ from .solvers import (
     packing_number,
     signed_domination,
     tuple_domination_number,
-    verify_sdf,
-    vertex_set_violations,
 )
 
 _CORPUS_CHOICES = tuple(k.replace("_", "-") for k in CORPUS_KINDS)
@@ -165,29 +164,25 @@ def _cmd_solve(args) -> int:
     elif args.k is not None:
         raise ValueError(f"--k applies only to tuple and limited_packing, not {args.param}")
     g = _load_graph(args.input)
+    role, k = None, None
     if args.param == "gamma_s":
-        value, f = signed_domination(g, args.mode)
-        bad = verify_sdf(g, f)
-        if bad or f.weight != value:
-            weight = "" if f.weight == value else f"; it has weight {f.weight}, not {value}"
-            print(f"error: witness {f} is invalid at vertices {bad}{weight}", file=sys.stderr)
-            return 1
-        witness = str(f)
+        value, cert = signed_domination(g, args.mode)
+    elif args.param == "gamma":
+        value, cert = domination_number(g)
+        role, k = ROLE_TUPLE_DOMINATING, 1
+    elif args.param == "tuple":
+        value, cert = tuple_domination_number(g, args.k)
+        role, k = ROLE_TUPLE_DOMINATING, args.k
+    elif args.param == "limited_packing":
+        value, cert = limited_packing_number(g, args.k)
+        role, k = ROLE_LIMITED_PACKING, args.k
     else:
-        if args.param == "gamma":
-            value, vs = domination_number(g)
-        elif args.param == "tuple":
-            value, vs = tuple_domination_number(g, args.k)
-        elif args.param == "limited_packing":
-            value, vs = limited_packing_number(g, args.k)
-        else:
-            value, vs = packing_number(g)
-        witness = " ".join(str(v) for v in vs.sorted_members())
-        bad = vertex_set_violations(g, vs)
-        if bad or vs.size != value:
-            size = "" if vs.size == value else f"; it has {vs.size} members, not {value}"
-            print(f"error: witness {witness} is invalid at vertices {bad}{size}", file=sys.stderr)
-            return 1
+        value, cert = packing_number(g)
+        role, k = ROLE_LIMITED_PACKING, 1
+    problem = check(g, args.param, value, cert, role, k)
+    if problem:
+        raise ValueError(problem)
+    witness = str(cert) if role is None else " ".join(str(v) for v in cert.sorted_members())
     if args.json:
         print(json.dumps({"param": args.param, "value": value, "witness": witness}))
     else:

@@ -11,14 +11,23 @@ L_{k+1} >= L_k + 1 and gamma_x(k+1) >= gamma_xk + 1.
 
 from __future__ import annotations
 
-from .graphs import Graph, bits
-from .solvers import (
+from .certify import (
     ROLE_LIMITED_PACKING,
     ROLE_TUPLE_DOMINATING,
     SignedFunction,
     VertexSet,
     vertex_set_violations,
 )
+from .graphs import Graph, bits
+
+_ROLE_NOUNS = {ROLE_LIMITED_PACKING: "limited packing", ROLE_TUPLE_DOMINATING: "tuple dominating set"}
+
+
+def _require(g: Graph, members, role: str, k: int) -> None:
+    """Raise ValueError unless ``members`` is a valid set of ``role`` at k in g."""
+    bad = vertex_set_violations(g, VertexSet(members, role, k))
+    if bad:
+        raise ValueError(f"not a {k}-{_ROLE_NOUNS[role]}; violated at vertices {bad}")
 
 
 def sdf_from_limited_packing(g: Graph, B: VertexSet) -> SignedFunction:
@@ -27,11 +36,7 @@ def sdf_from_limited_packing(g: Graph, B: VertexSet) -> SignedFunction:
     delta = min(g.deg) if g.n else 0
     if delta < 2:
         raise ValueError(f"requires minimum degree >= 2, got {delta}")
-    k = delta // 2
-    check = VertexSet(B.members, ROLE_LIMITED_PACKING, k)
-    bad = vertex_set_violations(g, check)
-    if bad:
-        raise ValueError(f"not a {k}-limited packing; violated at vertices {bad}")
+    _require(g, B.members, ROLE_LIMITED_PACKING, delta // 2)
     return SignedFunction.from_minus_set(g.n, B.members)
 
 
@@ -57,10 +62,7 @@ def augment_packing(g: Graph, B: VertexSet, k: int) -> VertexSet:
     """
     if len(B.members) >= g.n:
         raise ValueError("packing already covers all vertices; nothing to add")
-    check = VertexSet(B.members, ROLE_LIMITED_PACKING, k)
-    bad = vertex_set_violations(g, check)
-    if bad:
-        raise ValueError(f"not a {k}-limited packing; violated at vertices {bad}")
+    _require(g, B.members, ROLE_LIMITED_PACKING, k)
     u = min(v for v in range(g.n) if v not in B.members)
     return VertexSet(B.members | {u}, ROLE_LIMITED_PACKING, k + 1)
 
@@ -71,9 +73,6 @@ def shrink_tuple_dominating(g: Graph, D: VertexSet, k: int) -> VertexSet:
         raise ValueError(f"shrinking needs k >= 2, got {k}")
     if not D.members:
         raise ValueError("cannot shrink an empty set")
-    check = VertexSet(D.members, ROLE_TUPLE_DOMINATING, k)
-    bad = vertex_set_violations(g, check)
-    if bad:
-        raise ValueError(f"not a {k}-tuple dominating set; violated at vertices {bad}")
+    _require(g, D.members, ROLE_TUPLE_DOMINATING, k)
     u = min(D.members)
     return VertexSet(D.members - {u}, ROLE_TUPLE_DOMINATING, k - 1)

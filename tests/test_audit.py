@@ -259,6 +259,19 @@ def test_invalid_subset_certificate_aborts(monkeypatch, name):
         audit_graph(_circulant_10_1_2(), "C10(1,2)")
 
 
+def test_subset_certificate_of_another_k_aborts(monkeypatch):
+    # C6 asks for a 2-tuple dominating set. {0, 1, 2, 3} is a tuple dominating
+    # set at k = 1 only: at k = 2 it fails at vertices 4 and 5.
+    monkeypatch.setattr(audit_mod, "tuple_domination_number",
+                        lambda g, k, **kw: (4, VertexSet(frozenset({0, 1, 2, 3}), "tuple_dominating", 1)))
+    with pytest.raises(BoundViolation) as info:
+        audit_graph(cycle_graph(6), "C6")
+    assert str(info.value) == (
+        "gamma_xk = 4 has a certificate for a tuple_dominating set at k = 1,"
+        " not for a tuple_dominating set at k = 2"
+    )
+
+
 def test_limited_packing_at_k1_is_the_packing(monkeypatch):
     # At delta // 2 == 1, L_k is rho: the audit takes value and set from the
     # rho solve and still certifies that set as a 1-limited packing.
@@ -275,10 +288,10 @@ def test_limited_packing_at_k1_is_the_packing(monkeypatch):
     report = audit_graph(_circulant_10_1_2(), "C10(1,2)")
     assert report.limited_packing_k == 2 and calls[0] == 2
     certified = []
-    monkeypatch.setattr(audit_mod, "_certify_sets", lambda g, report, sets: certified.extend(sets))
+    monkeypatch.setattr(audit_mod, "check", lambda g, name, value, vs, role, k: certified.append((name, vs, role, k)))
     report = audit_graph(cycle_graph(6), "C6")
-    lk = [vs for name, value, vs in certified if name == "L_k"]
-    assert [(vs.role, vs.k, vs.size) for vs in lk] == [("limited_packing", 1, report.rho)]
+    lk = [(vs.role, vs.k, vs.size, role, k) for name, vs, role, k in certified if name == "L_k"]
+    assert lk == [("limited_packing", 1, report.rho, "limited_packing", 1)]
 
 
 def _chain_solves(monkeypatch, g):

@@ -89,7 +89,7 @@ def test_solve_rejects_invalid_witness(tmp_path, capsys, monkeypatch):
                         lambda g, *a, **k: (4, SignedFunction((1,) * 6)))
     code, out, err = run(capsys, "solve", "--param", "gamma_s", "--input", str(c6))
     assert code == 1 and out == ""
-    assert "error: witness ++++++ is invalid at vertices []; it has weight 6, not 4" in err
+    assert "error: gamma_s = 4 has a witness of weight 6 invalid at vertices []" in err
 
 
 def test_solve_rejects_invalid_subset_witness(tmp_path, capsys, monkeypatch):
@@ -100,13 +100,27 @@ def test_solve_rejects_invalid_subset_witness(tmp_path, capsys, monkeypatch):
                         lambda g, *a, **k: (1, VertexSet(frozenset({0}), "tuple_dominating", 1)))
     code, out, err = run(capsys, "solve", "--param", "gamma", "--input", str(c6))
     assert code == 1 and out == ""
-    assert "error: witness 0 is invalid at vertices [2, 3, 4]" in err
+    assert "error: gamma = 1 has a certificate of size 1 invalid at vertices [2, 3, 4]" in err
     # A valid set whose size is not the value is rejected too.
     monkeypatch.setattr(cli_mod, "packing_number",
                         lambda g, *a, **k: (3, VertexSet(frozenset({0, 3}), "limited_packing", 1)))
     code, out, err = run(capsys, "solve", "--param", "rho", "--input", str(c6))
     assert code == 1 and out == ""
-    assert "error: witness 0 3 is invalid at vertices []; it has 2 members, not 3" in err
+    assert "error: rho = 3 has a certificate of size 2 invalid at vertices []" in err
+
+
+def test_solve_checks_the_role_and_k_it_asked_for(tmp_path, capsys, monkeypatch):
+    c6 = tmp_path / "c6.el"
+    c6.write_text(serialize_graph(cycle_graph(6), "edgelist"))
+    # {0, 1} is a 2-limited packing of C6, not the packing (k = 1) that rho asks for.
+    monkeypatch.setattr(cli_mod, "packing_number",
+                        lambda g, *a, **k: (2, VertexSet(frozenset({0, 1}), "limited_packing", 2)))
+    code, out, err = run(capsys, "solve", "--param", "rho", "--input", str(c6))
+    assert code == 1 and out == ""
+    assert err == (
+        "error: rho = 2 has a certificate for a limited_packing set at k = 2,"
+        " not for a limited_packing set at k = 1\n"
+    )
 
 
 def test_oracle_mode_is_for_gamma_s_only(tmp_path, capsys):

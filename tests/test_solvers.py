@@ -580,8 +580,9 @@ def test_vertex_set_violations_roles():
     for role in ("dominating", "packing", "clique"):
         with pytest.raises(ValueError, match="unknown vertex-set role"):
             vertex_set_violations(g, VertexSet(frozenset(), role, 1))
-    with pytest.raises(ValueError, match="outside"):
-        vertex_set_violations(g, VertexSet(frozenset({9}), "limited_packing", 1))
+    for outside in (9, 6, -1):
+        with pytest.raises(ValueError, match="member index outside graph"):
+            vertex_set_violations(g, VertexSet(frozenset({0, outside}), "limited_packing", 1))
     with pytest.raises(TypeError):
         VertexSet(frozenset({0}), "limited_packing")
 

@@ -27,3 +27,23 @@ def test_import_loads_no_tempfile_or_pool():
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+def test_certificates_are_defined_only_in_certify():
+    # The re-checks stay independent of the solvers: certify.py imports the
+    # standard library and graphs only, and no other module defines what it holds.
+    owned = {"verify_sdf", "vertex_set_violations", "SignedFunction", "VertexSet"}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        if path.name != "certify.py":
+            assert not defined & owned, path.name
+            continue
+        assert owned <= defined
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add("." * node.level + (node.module or ""))
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert {m for m in imported if m.split(".")[0] not in sys.stdlib_module_names} == {".graphs"}
