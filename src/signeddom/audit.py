@@ -138,7 +138,7 @@ class BoundReport:
     limited_packing_value: int | None
     tuple_k: int
     tuple_value: int
-    bounds: list = field(default_factory=list)  # (Bound, satisfied, gap) triples
+    bounds: list = field(default_factory=list)  # (Bound, satisfied, gap) triples, in BOUND_ORDER
     checks: dict = field(default_factory=dict)  # name -> True/False/None
     sharp: list = field(default_factory=list)
 
@@ -220,9 +220,7 @@ class BoundReport:
             str(self.gamma),
             str(self.rho),
         ]
-        by_name = {b.name: (b, satisfied, gap) for b, satisfied, gap in self.bounds}
-        for name in BOUND_ORDER:
-            b, _, gap = by_name[name]
+        for b, _, gap in self.bounds:
             if b.applicable:
                 cells.append(str(b.tightened))
                 cells.append(str(gap))
@@ -359,13 +357,8 @@ def audit_graph(g: Graph, graph_id: str | None = None) -> BoundReport:
         lb_degree_leaves(profile),
         lb_degree_parity(profile),
         lb_max_degree_domination(profile, gamma),
+        *tree_lower_bounds(profile),
     ]
-    if profile.is_tree and g.n >= 2:
-        bound_list.extend(tree_lower_bounds(profile))
-    else:
-        reason = "not a tree" if not profile.is_tree else "n < 2"
-        bound_list.extend(not_applicable(name, reason) for name in BOUND_ORDER[4:])
-
     for b in bound_list:
         if not b.applicable:
             report.bounds.append((b, None, None))
@@ -509,22 +502,24 @@ def _checked_reports(spec: CorpusSpec, jobs: int = 1):
     """Yield the BoundReport of every corpus graph in graph-index order.
 
     Raises BoundViolation on the first unsatisfied applicable bound or failed
-    invariant check, and ValueError when ``jobs < 1``. With ``jobs > 1`` the
-    graphs are audited in a pool of that many processes, with at most
-    ``2 * jobs`` chunks in flight; output is the same.
+    invariant check, and ValueError when ``jobs < 1``. A pool of
+    ``min(jobs, os.cpu_count())`` processes, which may all start at its first
+    submit, audits the graphs with twice that many chunks in flight, or the
+    sweep runs serially when that is 1. Output is the same.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    workers = min(jobs, os.cpu_count() or 1)
     items = iter_corpus(spec)
     with contextlib.ExitStack() as stack:
-        if jobs > 1:
+        if workers > 1:
             # Imported only here, so serial sweeps never load the pool machinery.
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(max_workers=jobs)
+            pool = ProcessPoolExecutor(max_workers=workers)
             # An early exit drops the submitted chunks not yet started.
             stack.callback(pool.shutdown, cancel_futures=True)
-            reports = _pool_reports(pool, items, 2 * jobs)
+            reports = _pool_reports(pool, items, 2 * workers)
         else:
             reports = (audit_graph(g, graph_id) for graph_id, g in items)
         for report in reports:
@@ -535,7 +530,7 @@ def _checked_reports(spec: CorpusSpec, jobs: int = 1):
 
 
 class _ReportFiles:
-    """Temporary text files created beside report destinations.
+    """Temporary text files beside report destinations, with LF line ends on every platform.
 
     When the ``with`` block ends normally, every file is closed and renamed
     over its destination. On an exception nothing is renamed. Either way no
@@ -548,7 +543,7 @@ class _ReportFiles:
     def __enter__(self):
         return self
 
-    def open(self, destination, newline=None):
+    def open(self, destination):
         destination = os.fspath(destination)
         if os.path.isdir(destination):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), destination)
@@ -562,7 +557,7 @@ class _ReportFiles:
             except OSError as exc:  # reported against the path the caller asked for
                 raise OSError(exc.errno, exc.strerror, destination) from exc
             break
-        fh = os.fdopen(fd, "w+", buffering=1 << 16, newline=newline)
+        fh = os.fdopen(fd, "w+", buffering=1 << 16, newline="")
         self._files.append((fh, path, destination))
         return fh
 
@@ -599,8 +594,12 @@ def audit_corpus(
     into place when the sweep completes, so an abort or error leaves the
     destinations as they were. Until the summary is known, the JSON reports
     wait in an unnamed temporary file in the JSON destination's directory,
-    so not even a killed process leaves that copy behind.
+    so not even a killed process leaves that copy behind. A CSV and a JSON
+    destination that resolve to one file raise ValueError before any file is
+    created, since the second rename would replace the first report.
     """
+    if None not in (csv_path, json_path) and os.path.realpath(csv_path) == os.path.realpath(json_path):
+        raise ValueError(f"the CSV and JSON reports cannot both be written to {os.fspath(csv_path)}")
     total = 0
     sharp_hist = {name: 0 for name in BOUND_ORDER}
     gap_sum = {name: 0 for name in BOUND_ORDER}
@@ -610,7 +609,7 @@ def audit_corpus(
     with _ReportFiles() as files, contextlib.ExitStack() as stack:
         csv_out = json_out = spool = None
         if csv_path is not None:
-            csv_out = files.open(csv_path, newline="")
+            csv_out = files.open(csv_path)
             csv_out.write(CSV_HEADER + "\n")
         if json_path is not None:
             json_out = files.open(json_path)
@@ -627,8 +626,8 @@ def audit_corpus(
                     gap_count[b.name] += 1
                     gap_sum[b.name] += gap
                     gap_max[b.name] = max(gap_max[b.name], gap)
-                    if gap == 0:
-                        sharp_hist[b.name] += 1
+            for name in report.sharp:
+                sharp_hist[name] += 1
             if csv_out is not None:
                 csv_out.write(report.csv_row() + "\n")
             if spool is not None:

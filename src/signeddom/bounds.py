@@ -24,7 +24,8 @@ Bound identifiers (also the report-schema column names):
 
 where d* is the minimum core degree, D the maximum degree, l the number of
 leaves, s the number of support vertices, and odd the number of odd-degree
-vertices.
+vertices. "For trees" means trees with n >= 2; on any other graph the three
+tree bounds come back not applicable.
 """
 
 from __future__ import annotations
@@ -154,13 +155,13 @@ def lb_max_degree_domination(profile: StructuralProfile, gamma: int) -> Bound:
 def tree_lower_bounds(profile: StructuralProfile):
     """The three tree bounds (thm3_4_tree, cor_tree, dunbar_tree).
 
-    When the core is empty the signed domination number is exactly n, so the
-    first record reports n instead of the degree formula.
+    On a graph that is not a tree, or has n < 2, all three are not
+    applicable. When the core is empty the signed domination number is
+    exactly n, so the first record reports n instead of the degree formula.
     """
-    if not profile.is_tree:
-        raise ValueError("tree bounds require a tree")
-    if profile.n < 2:
-        raise ValueError(f"tree bounds require n >= 2, got {profile.n}")
+    if not profile.is_tree or profile.n < 2:
+        reason = "n < 2" if profile.is_tree else "not a tree"
+        return tuple([not_applicable(name, reason) for name in ("thm3_4_tree", "cor_tree", "dunbar_tree")])
     n = profile.n
     lt = profile.leaf_count
     s = profile.support_count

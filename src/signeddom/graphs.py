@@ -81,9 +81,6 @@ class Graph:
             reached |= frontier
         return reached == self._full_mask
 
-    def is_tree(self) -> bool:
-        return self.n >= 1 and self.m == self.n - 1 and self.is_connected()
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph)
@@ -151,26 +148,33 @@ class StructuralProfile:
         return len(self.odd_vertices)
 
 
-def structural_profile(g: Graph) -> StructuralProfile:
-    """Compute degrees, leaf/support/core partition, and the odd-degree vertices.
+def pendant_masks(g: Graph) -> tuple[int, int, int]:
+    """Bit masks of the isolated vertices, the leaves and the support vertices.
 
-    One pass over the degrees builds the isolated, leaf, support and odd sets
-    as bit masks (a leaf's one neighbour is a support); the profile holds
-    them as frozensets.
+    A leaf has degree 1, and its one neighbour is a support vertex; the two
+    ends of a K2 are both. One pass over the degrees.
     """
-    n = g.n
-    deg = g.deg
     adj = g.adj
-    isolated = leaves = supports = odd = 0
-    for v, d in enumerate(deg):
+    isolated = leaves = supports = 0
+    for v, d in enumerate(g.deg):
         if d <= 1:
             if d:
                 leaves |= 1 << v
                 supports |= adj[v]
             else:
                 isolated |= 1 << v
-        if d & 1:
-            odd |= 1 << v
+    return isolated, leaves, supports
+
+
+def structural_profile(g: Graph) -> StructuralProfile:
+    """Compute degrees, leaf/support/core partition, and the odd-degree vertices.
+
+    The isolated, leaf and support classes come from ``pendant_masks``, and
+    the core is every other vertex. A tree is connected with m = n - 1 >= 0.
+    """
+    n = g.n
+    deg = g.deg
+    isolated, leaves, supports = pendant_masks(g)
     core = g.full_mask & ~(isolated | leaves | supports)
     connected = g.is_connected()
     return StructuralProfile(
@@ -183,7 +187,7 @@ def structural_profile(g: Graph) -> StructuralProfile:
         supports=frozenset(bits(supports)),
         core=frozenset(bits(core)),
         delta_star=min([deg[v] for v in bits(core)], default=None),
-        odd_vertices=frozenset(bits(odd)),
+        odd_vertices=frozenset([v for v, d in enumerate(deg) if d & 1]),
         is_connected=connected,
         is_tree=connected and n >= 1 and g.m == n - 1,
     )

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 from .certify import ROLE_LIMITED_PACKING, ROLE_TUPLE_DOMINATING, SignedFunction, VertexSet
 from .certify import verify_sdf  # noqa: F401  the benchmark harness reads it here; ROADMAP item 2 drops it
-from .graphs import Graph, bits, mask_of
+from .graphs import Graph, bits, mask_of, pendant_masks
 
 ORACLE_CAP = 20
 BNB_CAP = 40
@@ -93,17 +93,8 @@ def forced_plus_mask(g: Graph) -> int:
     A degree-0 or degree-1 closed neighborhood sums to at least 1 only when all
     of its (at most two) vertices are +1.
     """
-    mask = 0
-    leaf_mask = 0
-    for v in range(g.n):
-        if g.deg[v] <= 1:
-            mask |= 1 << v
-            if g.deg[v] == 1:
-                leaf_mask |= 1 << v
-    for v in range(g.n):
-        if g.adj[v] & leaf_mask:
-            mask |= 1 << v
-    return mask
+    isolated, leaves, supports = pendant_masks(g)
+    return isolated | leaves | supports
 
 
 def signed_domination(g: Graph, mode: str = "branch_and_bound"):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -31,6 +32,7 @@ from signeddom import (
     verify_sdf,
 )
 from signeddom.audit import CSV_HEADER
+from signeddom.bounds import BOUND_ORDER
 from signeddom.solvers import VertexSet
 
 
@@ -81,6 +83,15 @@ def test_audit_null_graph_has_no_violation():
     assert report.violations() == []
     b, satisfied, gap = report.bound("thm3_3")
     assert (b.applicable, b.reason, satisfied, gap) == (False, "n = 0", None, None)
+
+
+@pytest.mark.parametrize("g", [cycle_graph(5), path_graph(6), Graph(1), Graph(0), Graph(4, [(0, 1), (2, 3)])],
+                         ids=["C5", "P6", "K1", "null", "2xP2"])
+def test_bounds_come_in_catalog_order(g):
+    report = audit_graph(g)
+    assert [b.name for b, _, _ in report.bounds] == list(BOUND_ORDER)
+    cells = report.csv_row().split(",")[11:11 + 2 * len(BOUND_ORDER)]
+    assert cells[::2] == ["NA" if not b.applicable else str(b.tightened) for b, _, _ in report.bounds]
 
 
 def test_audit_cap():
@@ -501,6 +512,55 @@ def test_sweep_memory_stays_flat(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+class _InlineExecutor:
+    """A stand-in process pool that runs each task at submit, in this process."""
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+@pytest.mark.parametrize("jobs, cpus, built", [(10**6, 2, [2]), (3, 1, [])])
+def test_jobs_are_capped_at_the_cpu_count(monkeypatch, tmp_path, jobs, cpus, built):
+    # The pool may fork all its workers at the first submit, so --jobs must not
+    # reach it uncapped; on one CPU the sweep runs serially.
+    spec = CorpusSpec(kind="trees_exhaustive", n_min=2, n_max=5)
+    audit_corpus(spec, csv_path=tmp_path / "serial.csv", json_path=tmp_path / "serial.json")
+    pools = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda max_workers: pools.append(max_workers) or _InlineExecutor())
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    audit_corpus(spec, csv_path=tmp_path / "r.csv", json_path=tmp_path / "r.json", jobs=jobs)
+    assert pools == built
+    for name in ("csv", "json"):
+        assert (tmp_path / f"r.{name}").read_bytes() == (tmp_path / f"serial.{name}").read_bytes()
+
+
+def test_one_destination_for_both_reports_is_refused(monkeypatch, tmp_path):
+    audited = []
+    real = audit_mod.audit_graph
+    monkeypatch.setattr(audit_mod, "audit_graph", lambda g, *a, **k: audited.append(g) or real(g, *a, **k))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    spec = CorpusSpec(kind="path", n_min=2, n_max=4)
+    for csv_path, json_path in (("r.out", "./r.out"), (tmp_path / "r.out", "sub/../r.out")):
+        with pytest.raises(ValueError, match="cannot both be written"):
+            audit_corpus(spec, csv_path=csv_path, json_path=json_path)
+    assert audited == [] and os.listdir(tmp_path) == ["sub"]
+
+
+def test_report_files_are_opened_without_newline_translation(monkeypatch, tmp_path):
+    newlines = []
+    real = os.fdopen
+    monkeypatch.setattr(os, "fdopen", lambda *a, **k: newlines.append(k.get("newline")) or real(*a, **k))
+    audit_corpus(CorpusSpec(kind="path", n_min=2, n_max=4), csv_path=tmp_path / "r.csv", json_path=tmp_path / "r.json")
+    assert newlines == ["", ""]
 
 
 def test_jobs_below_one_are_rejected():

@@ -139,10 +139,10 @@ def test_tree_bounds_spider():
 
 
 def test_tree_bounds_preconditions():
-    with pytest.raises(ValueError, match="tree"):
-        tree_lower_bounds(_profile(cycle_graph(5)))
-    with pytest.raises(ValueError, match="n >= 2"):
-        tree_lower_bounds(_profile(path_graph(1)))
+    for g, reason in ((cycle_graph(5), "not a tree"), (path_graph(1), "n < 2")):
+        bounds = tree_lower_bounds(_profile(g))
+        assert [b.name for b in bounds] == ["thm3_4_tree", "cor_tree", "dunbar_tree"]
+        assert all((b.applicable, b.reason, b.raw, b.tightened) == (False, reason, None, None) for b in bounds)
 
 
 def test_tree_bound_ordering_random_trees():
@@ -167,9 +167,7 @@ def test_bounds_bracket_exact_value():
         gamma, _ = domination_number(g)
         rho, _ = packing_number(g)
         lowers = [lb_degree_leaves(prof), lb_degree_parity(prof),
-                  lb_max_degree_domination(prof, gamma)]
-        if prof.is_tree and g.n >= 2:
-            lowers.extend(tree_lower_bounds(prof))
+                  lb_max_degree_domination(prof, gamma), *tree_lower_bounds(prof)]
         for b in lowers:
             if b.applicable:
                 assert b.raw <= gamma_s

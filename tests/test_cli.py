@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 
 import signeddom.audit as audit_mod
 import signeddom.cli as cli_mod
@@ -220,6 +221,15 @@ def test_audit_command_writes_reports(tmp_path, capsys):
     assert summary["graphs"] == 6 and summary["violations"] == 0
     assert csv_p.read_text().startswith("graph_id,")
     assert len(json.loads(json_p.read_text())["reports"]) == 6
+
+
+def test_audit_refuses_one_path_for_both_reports(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "audit", "--corpus", "path", "--n-max", "4",
+                         "--out", "r.out", "--json-out", "./r.out")
+    assert (code, out) == (1, "")
+    assert err == "error: the CSV and JSON reports cannot both be written to r.out\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_audit_determinism_cli(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from signeddom import (
@@ -11,6 +13,8 @@ from signeddom import (
     star_graph,
     structural_profile,
 )
+from signeddom.graphs import mask_of, pendant_masks
+from signeddom.solvers import forced_plus_mask
 
 
 def test_basic_graph_accessors():
@@ -100,19 +104,21 @@ def test_profile_invariants_random_sweep():
 
 def test_connectivity_and_tree_flags():
     assert cycle_graph(5).is_connected()
-    assert not cycle_graph(5).is_tree()
-    assert path_graph(6).is_tree()
+    assert not structural_profile(cycle_graph(5)).is_tree
+    assert structural_profile(path_graph(6)).is_tree
     two_parts = Graph(4, [(0, 1), (2, 3)])
     assert not two_parts.is_connected()
     prof = structural_profile(two_parts)
     assert not prof.is_connected and not prof.is_tree
     assert Graph(1).is_connected()
-    # The profile's flags come from one BFS; they must agree with the methods,
-    # also on a disconnected graph with m = n - 1 and on the empty graph.
+    # The profile's flags come from one BFS; a tree is connected with
+    # m = n - 1, which a disconnected graph with m = n - 1 and the empty
+    # graph are not.
     triangle_and_point = Graph(4, [(0, 1), (1, 2), (0, 2)])
     for g in (Graph(0), Graph(1), path_graph(6), cycle_graph(5), two_parts, triangle_and_point):
         prof = structural_profile(g)
-        assert (prof.is_connected, prof.is_tree) == (g.is_connected(), g.is_tree())
+        tree = g.is_connected() and g.n >= 1 and g.m == g.n - 1
+        assert (prof.is_connected, prof.is_tree) == (g.is_connected(), tree)
 
 
 def test_isolated_vertices_in_profile():
@@ -130,3 +136,29 @@ def test_spider_profile():
     prof = structural_profile(g)
     assert prof.leaf_count == 3 and prof.support_count == 3
     assert prof.core == frozenset({0})
+
+
+def _pendant_classes(g):
+    """Isolated, leaf and support vertex sets, straight from the definitions."""
+    nbrs = [{u for u in range(g.n) if g.has_edge(u, v)} for v in range(g.n)]
+    isolated = {v for v in range(g.n) if not nbrs[v]}
+    leaves = {v for v in range(g.n) if len(nbrs[v]) == 1}
+    supports = {v for v in range(g.n) if nbrs[v] & leaves}
+    return isolated, leaves, supports
+
+
+def test_vertex_classes_match_their_definitions():
+    rng = random.Random(derive_seed(31, 0))
+    graphs = [Graph(0), Graph(1), Graph(2, [(0, 1)]), Graph(3, [(0, 1)]), star_graph(4)]
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        p = rng.choice((0.1, 0.2, 0.4))
+        graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+    assert any(_pendant_classes(g)[0] and _pendant_classes(g)[1] for g in graphs)
+    for g in graphs:
+        isolated, leaves, supports = _pendant_classes(g)
+        assert pendant_masks(g) == (mask_of(isolated), mask_of(leaves), mask_of(supports))
+        assert forced_plus_mask(g) == mask_of(isolated | leaves | supports)
+        prof = structural_profile(g)
+        assert (prof.isolated, prof.leaves, prof.supports) == (isolated, leaves, supports)
+        assert prof.core == set(range(g.n)) - isolated - leaves - supports
