@@ -166,6 +166,39 @@ def pendant_masks(g: Graph) -> tuple[int, int, int]:
     return isolated, leaves, supports
 
 
+def leaf_first_order(g: Graph) -> list[int] | None:
+    """Every vertex of a forest, each before its parent; None when g has a cycle.
+
+    The order is a breadth-first search of each component from its lowest
+    vertex, reversed, so deeper vertices come first. A forest with c
+    components has m = n - c edges, so m >= n > 0 answers None at once;
+    otherwise one search counts the components.
+    """
+    n = g.n
+    if g.m >= n > 0:
+        return None
+    adj = g.adj
+    order = []
+    seen = 0
+    components = 0
+    for root in range(n):
+        if seen >> root & 1:
+            continue
+        components += 1
+        seen |= 1 << root
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            fresh = adj[order[head]] & ~seen
+            seen |= fresh
+            order.extend(bits(fresh))
+            head += 1
+    if g.m != n - components:
+        return None
+    order.reverse()
+    return order
+
+
 def structural_profile(g: Graph) -> StructuralProfile:
     """Compute degrees, leaf/support/core partition, and the odd-degree vertices.
 

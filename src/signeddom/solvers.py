@@ -10,28 +10,37 @@ greedy cover it prunes with the paper's double count (Lemma 3.1, Theorem
 the members still to come have |N[u]| summing to at most the room left.
 
 Every search runs on the graph relabelled in ascending (degree, index) order
-by a ``DegreeOrder``, which needs fewer search nodes. ``_solve_packing``
-derives that relabelling itself and keeps the one of the graph it solved
-last, so back-to-back solves on one graph share it. The value pass finds the
-optimum and an optimal set W. A lex-least solve then walks the vertices in
-ascending index order and puts each in S where some optimal set agrees with
-the choices made so far (for the domination side, leaves it out of S where
-one does). Where W already makes that choice it proves it possible; where
-swapping one undecided member of W for the vertex keeps W feasible, the swap
-proves it; elsewhere the walk asks the kernel whether such a set exists, and
-a set found becomes the new W. So ``signed_domination`` returns the lexicographically smallest
-optimal assignment (comparing per-vertex values with -1 < +1), and each
+by a ``DegreeOrder``, which needs fewer search nodes. On a forest no search
+runs: the closed-neighbourhood matrix of a forest is totally balanced, so a
+greedy that scans the vertices leaf-first, each before its parent, and takes
+each vertex whose closed neighbourhood still has room finds a largest S for
+any capacities (Farber, Discrete Appl. Math. 7, 1984; Hoffman, Kolen &
+Sakarovitch, SIAM J. Alg. Disc. Meth. 6, 1985). It answers the value pass
+and every query of the witness walk below, in the graph's own labels.
+``_solve_packing`` derives the ``DegreeOrder`` itself and keeps the one of
+the graph it solved last, so back-to-back solves on one graph share it.
+
+The value pass finds the optimum and an optimal set W. A lex-least solve
+then walks the vertices in ascending index order and puts each in S where
+some optimal set agrees with the choices made so far (for the domination
+side, leaves it out of S where one does). Where W already makes that choice
+it proves it possible; where swapping one undecided member of W for the
+vertex keeps W feasible, the swap proves it; elsewhere the walk asks the
+kernel (on a forest, the greedy) whether such a set exists, and a set found
+becomes the new W. So ``signed_domination`` returns the lexicographically
+smallest optimal assignment (comparing per-vertex values with -1 < +1), and each
 subset solver the lexicographically least optimal set, or for the domination
 side the least optimal dominating set. With ``lex_least=False`` a subset
 solver skips the walk: same value, and W, just as optimal and valid but not
-lex-least.
+lex-least. W is the kernel's first optimum in the degree order, or on a
+forest the greedy's set.
 A transparent oracle that enumerates all 2^n sign vectors is the independent
 second route for the signed domination number.
 
 Each route has one fixed size cap, set here and nowhere else: ``BNB_CAP``
-for the kernel, shared by all five parameters and checked once per solve in
-``_solve_packing``, and ``ORACLE_CAP`` for the oracle. Larger inputs raise
-``SizeCapError``.
+for the kernel, shared by all five parameters, forests included, and checked
+once per solve in ``_solve_packing``, and ``ORACLE_CAP`` for the oracle.
+Larger inputs raise ``SizeCapError``.
 
 The certificate types the solvers return, and the checks on them, live in
 ``certify``, which imports no solver.
@@ -43,7 +52,7 @@ from dataclasses import dataclass
 
 from .certify import ROLE_LIMITED_PACKING, ROLE_TUPLE_DOMINATING, SignedFunction, VertexSet
 from .certify import verify_sdf  # noqa: F401  the benchmark harness reads it here; ROADMAP item 2 drops it
-from .graphs import Graph, bits, mask_of, pendant_masks
+from .graphs import Graph, bits, leaf_first_order, mask_of, pendant_masks
 
 ORACLE_CAP = 20
 BNB_CAP = 40
@@ -169,24 +178,46 @@ def _lex_key(plus_mask: int, n: int):
 
 
 class DegreeOrder:
-    """``graph`` relabelled in ascending (degree, index) order; every search runs on it.
+    """How every packing query on ``graph`` runs: a search order, or on a forest the greedy's.
 
-    Label i is vertex ``order[i]``, and vertex v has label ``label[v]``.
-    ``closed`` holds the closed neighbourhood masks in the new labels,
-    ``nbhd`` the same neighbourhoods as ascending lists, and ``sizes`` their
-    sizes |N[i]|, which ascend with the label. ``drop[u]`` holds u
-    and every neighbour v with N[u] ⊆ N[v]: once a search leaves u out of S it
-    may leave those v out too (see ``_max_packing``). Branching on low-degree
-    vertices first needs fewer search nodes, so every solve finds its optimum
-    in this order, and a lex-least solve asks it the existence queries of its
-    witness walk (see ``_lex_least``). ``_solve_packing`` builds one per graph
-    and keeps the last, so consecutive solves on one graph,
-    ``signed_domination`` included, share it.
+    Off a forest, the graph is relabelled in ascending (degree, index)
+    order: label i is vertex ``order[i]``, and vertex v has label
+    ``label[v]``. ``closed`` holds the closed neighbourhood masks in the new
+    labels, ``nbhd`` the same neighbourhoods as ascending lists, and
+    ``sizes`` their sizes |N[i]|, which ascend with the label. ``drop[u]``
+    holds u and every neighbour v with N[u] ⊆ N[v]: once a search leaves u
+    out of S it may leave those v out too (see ``_max_packing``). Branching
+    on low-degree vertices first needs fewer search nodes, so every solve
+    finds its optimum in this order, and a lex-least solve asks it the
+    existence queries of its witness walk (see ``_lex_least``).
+
+    On a forest no search runs: ``leaf_first`` holds the greedy's order
+    (``graphs.leaf_first_order``), the labels are the graph's own, so
+    ``order`` is None and ``label`` the identity, ``closed`` and ``nbhd``
+    are the graph's neighbourhoods, and ``sizes`` and ``drop``, which only
+    the search reads, are None. Off a forest ``leaf_first`` is None.
+
+    ``_solve_packing`` builds one per graph and keeps the last, so
+    consecutive solves on one graph, ``signed_domination`` included, share
+    it.
     """
 
-    __slots__ = ("graph", "order", "label", "closed", "nbhd", "sizes", "drop")
+    __slots__ = ("graph", "leaf_first", "order", "label", "closed", "nbhd", "sizes", "drop")
 
     def __init__(self, g: Graph):
+        self.graph = g
+        self.leaf_first = leaf_first_order(g)
+        if self.leaf_first is not None:
+            nbhd = [[v] for v in range(g.n)]
+            for u, v in g.edges:
+                nbhd[u].append(v)
+                nbhd[v].append(u)
+            self.order = None
+            self.label = range(g.n)
+            self.closed = g.closed
+            self.nbhd = nbhd
+            self.sizes = self.drop = None
+            return
         # sorted is stable, so equal degrees keep ascending index order.
         order = sorted(range(g.n), key=g.deg.__getitem__)
         label = [0] * g.n
@@ -207,7 +238,6 @@ class DegreeOrder:
                 if not c & ~closed[v]:
                     mask |= 1 << v
             drop.append(mask)
-        self.graph = g
         self.order = order
         self.label = label
         self.closed = closed
@@ -268,9 +298,10 @@ def _solve_packing(g: Graph, cap, lex_least: bool, least_complement: bool = Fals
     ``cap`` holds the per-vertex capacities, in g's labels. SizeCapError when
     g has more than ``BNB_CAP`` vertices. The value pass runs on g's
     ``DegreeOrder``, reused when g is the graph solved last. Without
-    ``lex_least`` it maps that first optimum back to g's labels. With it the
-    witness walk of ``_lex_least`` returns the lexicographically least optimal
-    S, or with ``least_complement`` the one whose complement is.
+    ``lex_least`` it maps that first optimum back to g's labels; on a forest
+    it is the leaf-first greedy's set, already in them. With ``lex_least``
+    the witness walk of ``_lex_least`` returns the lexicographically least
+    optimal S, or with ``least_complement`` the one whose complement is.
     """
     global _last_order
     if g.n > BNB_CAP:
@@ -279,10 +310,13 @@ def _solve_packing(g: Graph, cap, lex_least: bool, least_complement: bool = Fals
     if relabel is None or relabel.graph is not g:
         relabel = _last_order = DegreeOrder(g)
     order = relabel.order
-    room = [cap[v] for v in order]
+    # Neither pass changes its rooms for good, so a forest's caps serve as they are.
+    room = cap if order is None else [cap[v] for v in order]
     size, s = _max_packing(relabel, room, _open_mask(relabel.closed, room))
     if lex_least:
         s = _lex_least(relabel, room, size, s, least_complement)
+    if order is None:
+        return size, s
     mask = 0
     for i in bits(s):
         mask |= 1 << order[i]
@@ -404,7 +438,13 @@ def _max_packing(relabel: DegreeOrder, room, avail: int, target=None):
     ``target`` the incumbent starts at target - 1 and the search stops at the
     first leaf, a set of at least ``target`` members; it returns
     (target - 1, 0) when there is none.
+
+    On a forest (``relabel.leaf_first`` set) no search runs: the leaf-first
+    greedy of ``_leaf_first_packing`` answers, a maximum set, and with a
+    ``target`` the same (target - 1, 0) when that set is too small.
     """
+    if relabel.leaf_first is not None:
+        return _leaf_first_packing(relabel, room, avail, target)
     closed = relabel.closed
     nbhd = relabel.nbhd
     sizes = relabel.sizes
@@ -473,3 +513,30 @@ def _max_packing(relabel: DegreeOrder, room, avail: int, target=None):
         # frees it at once instead of leaving a cycle to the garbage collector.
         del search
     return best, witness
+
+
+def _leaf_first_packing(relabel: DegreeOrder, room, avail: int, target=None):
+    """``_max_packing``'s answer on a forest, from one greedy scan and no search.
+
+    The scan visits the vertices leaf-first, each before its parent, and
+    takes every available vertex whose closed neighbourhood still has room.
+    On a forest the closed-neighbourhood matrix is totally balanced and this
+    order is a strong elimination order, so the greedy's set is a largest
+    one for any rooms and any ``avail`` (Farber, Discrete Appl. Math. 7,
+    1984; Hoffman, Kolen & Sakarovitch, SIAM J. Alg. Disc. Meth. 6, 1985).
+    ``room`` is only read.
+    """
+    closed, nbhd = relabel.closed, relabel.nbhd
+    left = list(room)
+    members = 0
+    for v in relabel.leaf_first:
+        if avail >> v & 1:
+            members |= 1 << v
+            for u in nbhd[v]:
+                left[u] -= 1
+                if not left[u]:
+                    avail &= ~closed[u]
+    size = members.bit_count()
+    if target is not None and size < target:
+        return target - 1, 0
+    return size, members

@@ -13,7 +13,7 @@ from signeddom import (
     star_graph,
     structural_profile,
 )
-from signeddom.graphs import mask_of, pendant_masks
+from signeddom.graphs import leaf_first_order, mask_of, pendant_masks
 from signeddom.solvers import forced_plus_mask
 
 
@@ -162,3 +162,46 @@ def test_vertex_classes_match_their_definitions():
         prof = structural_profile(g)
         assert (prof.isolated, prof.leaves, prof.supports) == (isolated, leaves, supports)
         assert prof.core == set(range(g.n)) - isolated - leaves - supports
+
+
+def _component_count(g):
+    """Connected components by union-find over the edge list."""
+    root = list(range(g.n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in g.edges:
+        root[find(u)] = find(v)
+    return sum(1 for v in range(g.n) if find(v) == v)
+
+
+def test_leaf_first_order_finds_the_forests():
+    # A graph is a forest iff m = n - (number of components). On a forest the
+    # order holds every vertex once, and each vertex has at most one
+    # neighbour after it (its parent), so deeper vertices come first.
+    rng = random.Random(derive_seed(32, 0))
+    graphs = [Graph(0), Graph(1), Graph(3), path_graph(6), star_graph(5), cycle_graph(5)]
+    graphs.append(Graph(6, [(0, 1), (1, 2), (0, 2)]))  # m < n, with a cycle
+    for _ in range(80):
+        n = rng.randint(1, 14)
+        p = rng.choice((0.08, 0.15, 0.3))
+        graphs.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+    for i in range(10):
+        graphs.append(random_connected(3 + i, 0.2, derive_seed(33, i)))
+    forests = 0
+    for g in graphs:
+        order = leaf_first_order(g)
+        assert (order is not None) == (g.m == g.n - _component_count(g)), g.edges
+        if g.is_connected() and g.n:
+            assert (order is not None) == structural_profile(g).is_tree
+        if order is None:
+            continue
+        forests += 1
+        assert sorted(order) == list(range(g.n))
+        position = {v: i for i, v in enumerate(order)}
+        for v in order:
+            assert sum(1 for u in g.neighbors(v) if position[u] > position[v]) <= 1
+    assert 20 < forests < len(graphs) - 20

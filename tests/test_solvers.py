@@ -17,6 +17,7 @@ from signeddom import (
     cycle_graph,
     derive_seed,
     domination_number,
+    enumerate_labeled_trees,
     limited_packing_number,
     packing_number,
     partition_stats,
@@ -30,7 +31,7 @@ from signeddom import (
     verify_sdf,
     vertex_set_violations,
 )
-from signeddom.graphs import mask_of
+from signeddom.graphs import bits, leaf_first_order, mask_of
 from signeddom.solvers import DegreeOrder, _solve_packing
 
 
@@ -309,14 +310,17 @@ def test_value_only_domination_keeps_values():
 
 
 def test_value_only_sets_follow_the_degree_order():
-    # P4 has minimum dominating sets {0, 2}, {0, 3}, {1, 2}, {1, 3}. The degree
-    # order is 0, 3, 1, 2; the kernel's first optimum there is the packing
-    # S = {0, 3}, so the value-only D is its complement {1, 2}.
-    g = path_graph(4)
-    assert DegreeOrder(g).order == [0, 3, 1, 2]
-    assert domination_number(g)[1].sorted_members() == (0, 2)
-    assert domination_number(g, lex_least=False)[1].sorted_members() == (1, 2)
-    assert packing_number(g, lex_least=False)[1].sorted_members() == (0, 3)
+    # The paw: triangle 0-1-2 with the leaf 3 on 2. Its maximum packings are
+    # its single vertices. The degree order is 3, 0, 1, 2, and the kernel's
+    # first optimum there is S = {3}. For gamma_x2 (caps deg - 1) S lies in
+    # {0, 1} and the first optimum is S = {0}, so the value-only D is
+    # {1, 2, 3}, where the least is {0, 2, 3}.
+    g = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    assert DegreeOrder(g).order == [3, 0, 1, 2]
+    assert packing_number(g)[1].sorted_members() == (0,)
+    assert packing_number(g, lex_least=False)[1].sorted_members() == (3,)
+    assert tuple_domination_number(g, 2)[1].sorted_members() == (0, 2, 3)
+    assert tuple_domination_number(g, 2, lex_least=False)[1].sorted_members() == (1, 2, 3)
     # The house: square 0-1-2-3 with roof 4 on 2 and 3. The degree-2 vertices
     # come first, so S takes 0, 1 and 4 where it can.
     g = Graph(5, [(0, 1), (0, 3), (1, 2), (2, 3), (2, 4), (3, 4)])
@@ -325,6 +329,17 @@ def test_value_only_sets_follow_the_degree_order():
     assert domination_number(g, lex_least=False)[1].sorted_members() == (2, 3)
     assert tuple_domination_number(g, 2)[1].sorted_members() == (0, 2, 3)
     assert tuple_domination_number(g, 2, lex_least=False)[1].sorted_members() == (1, 2, 3)
+    # On a forest the leaf-first greedy gives the value-only sets. P4's order
+    # is 3, 2, 1, 0. For gamma (caps deg) the greedy packs S = {3, 1}, so D
+    # is {0, 2}; for rho S = {3, 0}; for L_2 S = {3, 2, 0}, where the least
+    # is {0, 1, 3}.
+    g = path_graph(4)
+    assert leaf_first_order(g) == [3, 2, 1, 0]
+    assert DegreeOrder(g).order is None
+    assert domination_number(g, lex_least=False)[1].sorted_members() == (0, 2)
+    assert packing_number(g, lex_least=False)[1].sorted_members() == (0, 3)
+    assert limited_packing_number(g, 2)[1].sorted_members() == (0, 1, 3)
+    assert limited_packing_number(g, 2, lex_least=False)[1].sorted_members() == (0, 2, 3)
 
 
 # Every solver, lex-least and value-only.
@@ -409,10 +424,12 @@ def test_witness_walk_matches_both_lex_orders(k):
 
 
 def test_witness_walk_swaps_instead_of_asking(monkeypatch):
-    # On P5 with caps 1 the value pass finds W = {0, 4}. At vertex 3 the walk
-    # takes W - 4 + 3 (4 lies in N[3] and N[4], the neighbourhoods W fills)
-    # instead of asking the kernel for a set with 3; without the swap that
-    # is a second kernel call. On the n = 9 graph the swap saves two.
+    # On the paw (triangle 0-1-2, leaf 3 on 2) with caps 1 the value pass
+    # finds W = {3}. At vertex 0 the walk takes W - 3 + 0 (3 lies in N[2],
+    # the one neighbourhood of N[0] that W fills) instead of asking the
+    # kernel for a set with 0; without the swap that is a second kernel call.
+    # On the n = 9 graph the swap saves two. On P5 the leaf-first greedy
+    # finds W = {1, 4}, and the walk reaches the least set {0, 3} by two swaps.
     calls = []
     kernel = solvers._max_packing
 
@@ -420,10 +437,12 @@ def test_witness_walk_swaps_instead_of_asking(monkeypatch):
         calls.append(target)
         return kernel(relabel, room, avail, target)
 
+    paw = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     g9 = random_connected(9, 0.5, derive_seed(515, 1))
-    assert _solve_packing(path_graph(5), [1] * 5, False) == (2, mask_of({0, 4}))
+    assert _solve_packing(paw, [1] * 4, False) == (1, mask_of({3}))
+    assert _solve_packing(path_graph(5), [1] * 5, False) == (2, mask_of({1, 4}))
     monkeypatch.setattr(solvers, "_max_packing", counted)
-    for g, cap in ((path_graph(5), [1] * 5), (g9, [d // 2 for d in g9.deg])):
+    for g, cap in ((paw, [1] * 4), (g9, [d // 2 for d in g9.deg]), (path_graph(5), [1] * 5)):
         best, least, _ = _brute_lex_least(g, cap)
         calls.clear()
         assert _solve_packing(g, cap, True) == (best, least)
@@ -442,13 +461,17 @@ def _complete_multipartite(*sizes):
 DOMINANCE_GRAPHS = {
     # Twins: 0 and 1 share their closed neighbourhood, so do 4 and 5.
     "twins": Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)]),
-    "star": star_graph(7),
+    # The windmill: triangles 0-1-2, 0-3-4 and 0-5-6 share the centre 0, so
+    # every other closed neighbourhood nests in N[0] and has a twin.
+    "windmill": Graph(7, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (0, 5), (0, 6), (5, 6)]),
     "star_plus_edge": Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (4, 5)]),
     # No closed neighbourhood nests in another, but optima tie in many ways.
     "K_2_2_3": _complete_multipartite(2, 2, 3),
-    # Path 0-1-2-3-4 with the twin leaves 5 and 6 on vertex 2.
-    "path_pendant_twins": Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (2, 6)]),
+    # Cycle 0-1-2-3-4 with the twin leaves 5 and 6 on vertex 2.
+    "cycle_pendant_twins": Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (2, 5), (2, 6)]),
     "triangle_pendant_twins": Graph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (2, 4), (3, 4), (0, 5)]),
+    # m < n, yet a triangle: the kernel serves it, not the greedy.
+    "triangle_and_three_points": Graph(6, [(0, 1), (1, 2), (0, 2)]),
 }
 
 
@@ -456,8 +479,10 @@ DOMINANCE_GRAPHS = {
 def test_dominance_keeps_values_and_witnesses(name):
     # Leaving u out of S also leaves out the v with N[u] ⊆ N[v]; values and
     # lex-least witnesses must stay the brute-force ones where that fires.
+    # Every graph here has a cycle, so the kernel, not the greedy, serves it.
     g = DOMINANCE_GRAPHS[name]
     relabel = DegreeOrder(g)
+    assert relabel.leaf_first is None
     nested = sum((d & ~(1 << i)).bit_count() for i, d in enumerate(relabel.drop))
     assert (nested == 0) == (name == "K_2_2_3")
     assert signed_domination(g) == signed_domination(g, "oracle")
@@ -498,9 +523,92 @@ def test_witness_walk_rejects_an_inconsistent_search(monkeypatch):
     with pytest.raises(RuntimeError, match="search inconsistency"):
         domination_number(g)
     monkeypatch.setattr(solvers, "_max_packing", overstated)
+    # P9 is a tree with a core, so the leaf-first greedy answers every query
+    # there, signed_domination's included; the walk checks it all the same.
     for solve in (signed_domination, domination_number, packing_number):
-        with pytest.raises(RuntimeError, match="search inconsistency"):
-            solve(g)
+        for x in (g, path_graph(9)):
+            with pytest.raises(RuntimeError, match="search inconsistency"):
+                solve(x)
+
+
+def _forest_caps(g, rng):
+    # gamma_s, rho, L_2, gamma, gamma_x2's caps, and seeded caps in 0..deg+1.
+    return (
+        [d // 2 for d in g.deg],
+        [1] * g.n,
+        [2] * g.n,
+        list(g.deg),
+        [max(d - 1, 0) for d in g.deg],
+        [rng.randint(0, d + 1) for d in g.deg],
+    )
+
+
+def test_leaf_first_greedy_matches_brute_force_on_every_small_tree():
+    # Every labeled tree with n <= 6, value-only, lex-least and
+    # least-complement: the greedy answers every query of each solve.
+    rng = random.Random(derive_seed(517, 0))
+    trees = 0
+    for n in range(2, 7):
+        for g in enumerate_labeled_trees(n):
+            trees += 1
+            assert DegreeOrder(g).leaf_first is not None
+            for cap in _forest_caps(g, rng):
+                best, least, least_complement = _brute_lex_least(g, cap)
+                size, s = _solve_packing(g, cap, False)
+                assert size == best
+                assert all((c & s).bit_count() <= cap[v] for v, c in enumerate(g.closed))
+                assert _solve_packing(g, cap, True) == (best, least)
+                assert _solve_packing(g, cap, True, least_complement=True) == (best, least_complement)
+    assert trees == 1441
+
+
+def _random_forest(rng):
+    # Uniform random trees of random sizes, isolated vertices among them,
+    # under one random relabelling of the whole forest.
+    n = rng.randint(1, 40)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges, start = [], 0
+    while start < n:
+        size = min(n - start, rng.choice((1, 1, 2, 5, 12, 40)))
+        tree = random_tree(size, rng.getrandbits(32))
+        edges += [(perm[start + u], perm[start + v]) for u, v in tree.edges]
+        start += size
+    return Graph(n, edges)
+
+
+def test_leaf_first_greedy_matches_the_kernel_on_random_forests(monkeypatch):
+    # Random rooms over a random available set, and whole solves. The kernel
+    # serves a forest too once the forest detection answers None.
+    rng = random.Random(derive_seed(518, 0))
+    forests = [_random_forest(rng) for _ in range(400)]
+    assert sum(1 for g in forests if min(g.deg) == 0 and g.m) > 20
+    cases = []
+    for g in forests:
+        room = [rng.randint(0, d + 1) for d in g.deg]
+        avail = rng.getrandbits(g.n) & solvers._open_mask(g.closed, room)
+        cap = rng.choice(_forest_caps(g, rng))
+        greedy = DegreeOrder(g)
+        assert greedy.leaf_first is not None
+        size, s = solvers._max_packing(greedy, room, avail)
+        assert s & ~avail == 0 and size == s.bit_count()
+        assert all((c & s).bit_count() <= room[v] for v, c in enumerate(g.closed))
+        assert solvers._max_packing(greedy, room, avail, size) == (size, s)
+        assert solvers._max_packing(greedy, room, avail, size + 1) == (size, 0)
+        value_only = _solve_packing(g, cap, False)
+        assert all((c & value_only[1]).bit_count() <= cap[v] for v, c in enumerate(g.closed))
+        solves = (value_only[0], _solve_packing(g, cap, True), _solve_packing(g, cap, True, True))
+        cases.append((g, room, avail, cap, size, solves))
+    monkeypatch.setattr(solvers, "leaf_first_order", lambda g: None)
+    monkeypatch.setattr(solvers, "_last_order", None)
+    for g, room, avail, cap, size, solves in cases:
+        kernel = DegreeOrder(g)
+        assert kernel.leaf_first is None
+        room_k = [room[v] for v in kernel.order]
+        avail_k = mask_of(kernel.label[v] for v in bits(avail))
+        assert solvers._max_packing(kernel, room_k, avail_k)[0] == size
+        value_only = _solve_packing(g, cap, False)
+        assert (value_only[0], _solve_packing(g, cap, True), _solve_packing(g, cap, True, True)) == solves
 
 
 # Witnesses of the single-pass index-order kernel, above the oracle's n <= 20:
