@@ -376,26 +376,26 @@ def audit_graph(g: Graph, graph_id: str | None = None) -> BoundReport:
 
 def _invariant_checks(g: Graph, profile: StructuralProfile, report: BoundReport) -> dict:
     witness = report.witness
-    minus = witness.minus_set
+    minus_count = witness.minus_mask.bit_count()
     stats = partition_stats(g, witness)
     checks = {}
 
     # Cut-size sandwich on the optimal witness; vacuous without -1 vertices.
-    if not minus:
+    if not minus_count:
         checks["lemma_3_1_i"] = True
     else:
         if profile.delta_star is None:
             raise BoundViolation("-1 vertices on a graph with an empty core", report.graph6, report)
-        lo = ((profile.delta_star + 1) // 2 + 1) * len(minus)
-        plus_not_leaf = len(witness.plus_set - profile.leaves)
+        lo = ((profile.delta_star + 1) // 2 + 1) * minus_count
+        plus_not_leaf = (witness.plus_mask & ~profile.leaf_mask).bit_count()
         hi = (profile.Delta // 2) * plus_not_leaf
         checks["lemma_3_1_i"] = lo <= stats.cut <= hi
 
     checks["lemma_3_1_ii"] = (
-        profile.odd_count + 2 * len(minus) <= 2 * stats.e_plus - 2 * stats.e_minus
+        profile.odd_count + 2 * minus_count <= 2 * stats.e_plus - 2 * stats.e_minus
     )
 
-    claim1 = VertexSet(minus, ROLE_LIMITED_PACKING, profile.Delta // 2)
+    claim1 = VertexSet(witness.minus_set, ROLE_LIMITED_PACKING, profile.Delta // 2)
     checks["claim1_limited_packing"] = not vertex_set_violations(g, claim1)
 
     claim2 = VertexSet(witness.plus_set, ROLE_TUPLE_DOMINATING, report.tuple_k)

@@ -8,7 +8,7 @@ Graphs are immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # A sanity cap on input size. The solvers stop well below it, at 40 vertices
 # (solvers.BNB_CAP), and the graph6 codec at 62.
@@ -21,7 +21,7 @@ class Graph:
     Rejects self-loops, duplicate edges, and out-of-range endpoints.
     """
 
-    __slots__ = ("n", "edges", "adj", "closed", "deg", "_full_mask")
+    __slots__ = ("n", "edges", "adj", "closed", "deg", "full_mask")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -50,16 +50,12 @@ class Graph:
         # tuple free lists.
         self.closed = tuple([adj[v] | (1 << v) for v in range(n)])
         self.deg = tuple([adj[v].bit_count() for v in range(n)])
-        self._full_mask = (1 << n) - 1
+        # Bit mask with one bit per vertex.
+        self.full_mask = (1 << n) - 1
 
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    @property
-    def full_mask(self) -> int:
-        """Bit mask with one bit per vertex."""
-        return self._full_mask
 
     def neighbors(self, v: int):
         return bits(self.adj[v])
@@ -79,7 +75,7 @@ class Graph:
                 grow |= self.adj[v]
             frontier = grow & ~reached
             reached |= frontier
-        return reached == self._full_mask
+        return reached == self.full_mask
 
     def __eq__(self, other) -> bool:
         return (
@@ -113,39 +109,28 @@ def mask_of(members) -> int:
 
 @dataclass(slots=True)
 class StructuralProfile:
-    """Derived structural data of a graph.
+    """The structural counts of a graph that the bounds, checks and reports read.
 
-    ``core`` is the set of vertices that are neither isolated, leaves, nor
-    support vertices (a support vertex is one adjacent to a degree-1 vertex).
-    ``delta_star`` is the minimum degree over the core, or None when the core
-    is empty. A plain slotted value record, built once per audited graph;
-    nothing changes one after it is built.
+    ``leaf_mask`` holds the leaves (degree-1 vertices) as a bit mask, and
+    ``leaf_count``, ``support_count`` and ``odd_count`` count the leaves, the
+    support vertices (those adjacent to a leaf) and the odd-degree vertices.
+    The core is every vertex that is neither isolated, a leaf nor a support;
+    ``delta_star`` is the minimum degree over it, or None when it is empty.
+    A plain slotted value record, built once per audited graph; nothing
+    changes one after it is built.
     """
 
     n: int
     m: int
     delta: int
     Delta: int
-    isolated: frozenset = field(repr=False)
-    leaves: frozenset = field(repr=False)
-    supports: frozenset = field(repr=False)
-    core: frozenset = field(repr=False)
-    delta_star: int | None = None
-    odd_vertices: frozenset = field(default=frozenset(), repr=False)
-    is_connected: bool = False
-    is_tree: bool = False
-
-    @property
-    def leaf_count(self) -> int:
-        return len(self.leaves)
-
-    @property
-    def support_count(self) -> int:
-        return len(self.supports)
-
-    @property
-    def odd_count(self) -> int:
-        return len(self.odd_vertices)
+    leaf_mask: int
+    leaf_count: int
+    support_count: int
+    odd_count: int
+    delta_star: int | None
+    is_connected: bool
+    is_tree: bool
 
 
 def pendant_masks(g: Graph) -> tuple[int, int, int]:
@@ -200,10 +185,11 @@ def leaf_first_order(g: Graph) -> list[int] | None:
 
 
 def structural_profile(g: Graph) -> StructuralProfile:
-    """Compute degrees, leaf/support/core partition, and the odd-degree vertices.
+    """Compute the degree extremes, the leaf, support and odd-degree counts, and delta*.
 
-    The isolated, leaf and support classes come from ``pendant_masks``, and
-    the core is every other vertex. A tree is connected with m = n - 1 >= 0.
+    The isolated, leaf and support classes come from ``pendant_masks`` as bit
+    masks, and the core is every other vertex. A tree is connected with
+    m = n - 1 >= 0.
     """
     n = g.n
     deg = g.deg
@@ -215,12 +201,11 @@ def structural_profile(g: Graph) -> StructuralProfile:
         m=g.m,
         delta=min(deg) if n else 0,
         Delta=max(deg) if n else 0,
-        isolated=frozenset(bits(isolated)),
-        leaves=frozenset(bits(leaves)),
-        supports=frozenset(bits(supports)),
-        core=frozenset(bits(core)),
+        leaf_mask=leaves,
+        leaf_count=leaves.bit_count(),
+        support_count=supports.bit_count(),
+        odd_count=sum([d & 1 for d in deg]),
         delta_star=min([deg[v] for v in bits(core)], default=None),
-        odd_vertices=frozenset([v for v, d in enumerate(deg) if d & 1]),
         is_connected=connected,
         is_tree=connected and n >= 1 and g.m == n - 1,
     )

@@ -40,7 +40,10 @@ second route for the signed domination number.
 Each route has one fixed size cap, set here and nowhere else: ``BNB_CAP``
 for the kernel, shared by all five parameters, forests included, and checked
 once per solve in ``_solve_packing``, and ``ORACLE_CAP`` for the oracle.
-Larger inputs raise ``SizeCapError``.
+Larger inputs raise ``SizeCapError``. The mode and the caps are checked
+before any answer, on an empty core (every vertex pinned to +1) too: there
+``_solve_packing`` finds no vertex open at the root and returns the empty
+set, and the oracle enumerates.
 
 The certificate types the solvers return, and the checks on them, live in
 ``certify``, which imports no solver.
@@ -64,38 +67,33 @@ class SizeCapError(ValueError):
 
 @dataclass(slots=True)
 class PartitionStats:
-    """Edge statistics of the sign partition induced by an assignment; a slotted value record."""
+    """Edges inside V+ and inside V-, and across the cut [V+, V-]; a slotted value record."""
 
     e_plus: int
     e_minus: int
     cut: int
-    deg_plus: tuple
-    deg_minus: tuple
 
 
 def partition_stats(g: Graph, f: SignedFunction) -> PartitionStats:
-    """Count edges inside each sign class and across the cut."""
+    """Count edges inside each sign class and across the cut, over the adjacency masks."""
     if f.n != g.n:
         raise ValueError(f"assignment length {f.n} != vertex count {g.n}")
+    adj = g.adj
     plus = f.plus_mask
     minus = f.minus_mask
-    deg_plus = tuple([(g.adj[v] & plus).bit_count() for v in range(g.n)])
-    deg_minus = tuple([(g.adj[v] & minus).bit_count() for v in range(g.n)])
-    e_plus = sum(deg_plus[v] for v in bits(plus)) // 2
-    e_minus = sum(deg_minus[v] for v in bits(minus)) // 2
-    cut = sum(deg_minus[v] for v in bits(plus))
-    return PartitionStats(
-        e_plus=e_plus,
-        e_minus=e_minus,
-        cut=cut,
-        deg_plus=deg_plus,
-        deg_minus=deg_minus,
-    )
+    e_plus = e_minus = cut = 0
+    for v in bits(plus):
+        e_plus += (adj[v] & plus).bit_count()
+        cut += (adj[v] & minus).bit_count()
+    for v in bits(minus):
+        e_minus += (adj[v] & minus).bit_count()
+    return PartitionStats(e_plus=e_plus // 2, e_minus=e_minus // 2, cut=cut)
 
 
 # -- signed domination --------------------------------------------------------
 
 
+# No solver calls it; the benchmark harness and the tests read it here, and ROADMAP item 2 drops it.
 def forced_plus_mask(g: Graph) -> int:
     """Isolated vertices, leaves, and supports: +1 in every valid assignment.
 
@@ -109,17 +107,17 @@ def forced_plus_mask(g: Graph) -> int:
 def signed_domination(g: Graph, mode: str = "branch_and_bound"):
     """Minimum-weight valid sign assignment, with its witness.
 
-    Fast path: when every vertex is isolated, a leaf, or a support, those
-    vertices are pinned to +1 by validity, so the optimum is n with the all-+1
-    witness. Otherwise dispatches on ``mode`` ("oracle" enumerates all 2^n
-    assignments; "branch_and_bound" takes V- as a maximum packing with
-    capacities floor(deg/2), its value found in ascending-degree order). Both
-    modes return the lexicographically smallest optimal assignment (-1 < +1
-    per index).
+    Dispatches on ``mode``: "oracle" enumerates all 2^n assignments, up to
+    ``ORACLE_CAP`` vertices; "branch_and_bound" takes V- as a maximum packing
+    with capacities floor(deg/2), its value found in ascending-degree order,
+    up to ``BNB_CAP`` vertices. Any other mode is a ValueError. The mode and
+    the caps are checked first on every graph. When every vertex is
+    isolated, a leaf, or a support, validity pins them all to +1, and the
+    optimum n with the all-+1 witness comes from ``_solve_packing`` with no
+    search, or from the oracle's enumeration. Both modes return the
+    lexicographically smallest optimal assignment (-1 < +1 per index).
     """
     n = g.n
-    if forced_plus_mask(g) == g.full_mask:
-        return n, SignedFunction(tuple([1] * n))
     if mode == "oracle":
         if n > ORACLE_CAP:
             raise SizeCapError(f"oracle mode capped at n <= {ORACLE_CAP}, got {n}")
@@ -296,7 +294,10 @@ def _solve_packing(g: Graph, cap, lex_least: bool, least_complement: bool = Fals
     """The kernel's (|S|, S as a bitmask) on g, with S in g's own labels.
 
     ``cap`` holds the per-vertex capacities, in g's labels. SizeCapError when
-    g has more than ``BNB_CAP`` vertices. The value pass runs on g's
+    g has more than ``BNB_CAP`` vertices. When no vertex is open at the root
+    (each lies in the closed neighbourhood of a vertex with capacity 0 or
+    less, as for ``gamma_s`` on an empty core), the empty set is the one
+    answer, (0, 0), with no pass. Otherwise the value pass runs on g's
     ``DegreeOrder``, reused when g is the graph solved last. Without
     ``lex_least`` it maps that first optimum back to g's labels; on a forest
     it is the leaf-first greedy's set, already in them. With ``lex_least``
@@ -312,7 +313,10 @@ def _solve_packing(g: Graph, cap, lex_least: bool, least_complement: bool = Fals
     order = relabel.order
     # Neither pass changes its rooms for good, so a forest's caps serve as they are.
     room = cap if order is None else [cap[v] for v in order]
-    size, s = _max_packing(relabel, room, _open_mask(relabel.closed, room))
+    avail = _open_mask(relabel.closed, room)
+    if not avail:
+        return 0, 0
+    size, s = _max_packing(relabel, room, avail)
     if lex_least:
         s = _lex_least(relabel, room, size, s, least_complement)
     if order is None:

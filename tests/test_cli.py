@@ -157,6 +157,17 @@ def test_solve_cap_error(tmp_path, capsys):
     assert code == 1 and "capped at n <= 40" in err
 
 
+def test_solve_caps_a_star_before_answering(capsys, monkeypatch):
+    # Every vertex of a star is a leaf or its support, so gamma_s = n is
+    # known without a search; the size cap still comes first.
+    import io
+    code, star, _ = run(capsys, "gen", "--kind", "star", "--n", "41")
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(star))
+    code, out, err = run(capsys, "solve", "--param", "gamma_s", "--input", "-")
+    assert code == 1 and out == "" and "capped at n <= 40" in err
+
+
 def test_cap_flags_are_gone(tmp_path, capsys):
     c6 = tmp_path / "c6.el"
     c6.write_text(serialize_graph(cycle_graph(6), "edgelist"))

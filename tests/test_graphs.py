@@ -13,7 +13,7 @@ from signeddom import (
     star_graph,
     structural_profile,
 )
-from signeddom.graphs import leaf_first_order, mask_of, pendant_masks
+from signeddom.graphs import bits, leaf_first_order, mask_of, pendant_masks
 from signeddom.solvers import forced_plus_mask
 
 
@@ -56,30 +56,33 @@ def test_handshake_and_even_odd_count():
 
 
 def test_profile_path7():
-    prof = structural_profile(path_graph(7))
-    assert prof.leaves == frozenset({0, 6})
-    assert prof.supports == frozenset({1, 5})
-    assert prof.core == frozenset({2, 3, 4})
+    g = path_graph(7)
+    prof = structural_profile(g)
+    assert pendant_masks(g) == (0, mask_of({0, 6}), mask_of({1, 5}))
+    assert g.full_mask & ~forced_plus_mask(g) == mask_of({2, 3, 4})
+    assert prof.leaf_mask == mask_of({0, 6})
     assert prof.delta_star == 2
     assert prof.leaf_count == 2 and prof.support_count == 2
-    assert prof.odd_vertices == frozenset({0, 6})
+    assert [v for v in range(g.n) if g.deg[v] % 2] == [0, 6] and prof.odd_count == 2
     assert prof.is_tree and prof.is_connected
 
 
 def test_profile_star():
-    prof = structural_profile(star_graph(5))
-    assert prof.core == frozenset()
+    g = star_graph(5)
+    prof = structural_profile(g)
+    assert forced_plus_mask(g) == g.full_mask
     assert prof.delta_star is None
     assert prof.leaf_count == 4 and prof.support_count == 1
 
 
 def test_profile_complete5():
-    prof = structural_profile(complete_graph(5))
-    assert prof.isolated == prof.leaves == prof.supports == frozenset()
-    assert prof.core == frozenset(range(5))
+    g = complete_graph(5)
+    prof = structural_profile(g)
+    assert pendant_masks(g) == (0, 0, 0) and prof.leaf_mask == 0
+    assert forced_plus_mask(g) == 0
     assert prof.delta_star == 4
     assert prof.leaf_count == 0 and prof.support_count == 0
-    assert not prof.odd_vertices
+    assert prof.odd_count == 0
 
 
 def test_profile_invariants_random_sweep():
@@ -87,19 +90,25 @@ def test_profile_invariants_random_sweep():
         n = 4 + i % 8
         g = random_connected(n, 0.4, derive_seed(99, i))
         prof = structural_profile(g)
-        covered = prof.isolated | prof.leaves | prof.supports | prof.core
-        assert covered == frozenset(range(n))
-        assert not prof.core & (prof.isolated | prof.leaves | prof.supports)
-        leaf_mask = prof.leaves
-        for v in prof.core:
+        isolated, leaves, supports = pendant_masks(g)
+        pinned = forced_plus_mask(g)
+        core = g.full_mask & ~pinned
+        assert pinned == isolated | leaves | supports
+        assert not isolated & (leaves | supports)
+        assert prof.leaf_mask == leaves
+        assert (prof.leaf_count, prof.support_count) == (leaves.bit_count(), supports.bit_count())
+        for v in bits(core):
             assert g.deg[v] >= 2
-            assert not any(u in leaf_mask for u in g.neighbors(v))
-        for v in prof.supports:
-            assert any(u in prof.leaves for u in g.neighbors(v))
+            assert not g.adj[v] & leaves
+        for v in bits(supports):
+            assert g.adj[v] & leaves
         if n >= 2:
             assert prof.leaf_count >= prof.support_count
-        if prof.core:
+        if core:
+            assert prof.delta_star == min(g.deg[v] for v in bits(core))
             assert prof.delta_star >= max(2, prof.delta)
+        else:
+            assert prof.delta_star is None
 
 
 def test_connectivity_and_tree_flags():
@@ -124,10 +133,11 @@ def test_connectivity_and_tree_flags():
 def test_isolated_vertices_in_profile():
     g = Graph(3, [(0, 1)])
     prof = structural_profile(g)
-    assert prof.isolated == frozenset({2})
-    assert prof.leaves == frozenset({0, 1})
-    assert prof.supports == frozenset({0, 1})
-    assert prof.core == frozenset()
+    assert pendant_masks(g) == (mask_of({2}), mask_of({0, 1}), mask_of({0, 1}))
+    assert forced_plus_mask(g) == g.full_mask
+    assert prof.leaf_mask == mask_of({0, 1})
+    assert prof.leaf_count == 2 and prof.support_count == 2
+    assert prof.delta_star is None
 
 
 def test_spider_profile():
@@ -135,7 +145,8 @@ def test_spider_profile():
     assert g.n == 7 and g.m == 6
     prof = structural_profile(g)
     assert prof.leaf_count == 3 and prof.support_count == 3
-    assert prof.core == frozenset({0})
+    assert g.full_mask & ~forced_plus_mask(g) == mask_of({0})
+    assert prof.delta_star == 3
 
 
 def _pendant_classes(g):
@@ -160,8 +171,12 @@ def test_vertex_classes_match_their_definitions():
         assert pendant_masks(g) == (mask_of(isolated), mask_of(leaves), mask_of(supports))
         assert forced_plus_mask(g) == mask_of(isolated | leaves | supports)
         prof = structural_profile(g)
-        assert (prof.isolated, prof.leaves, prof.supports) == (isolated, leaves, supports)
-        assert prof.core == set(range(g.n)) - isolated - leaves - supports
+        assert prof.leaf_mask == mask_of(leaves)
+        assert (prof.leaf_count, prof.support_count) == (len(leaves), len(supports))
+        core = set(range(g.n)) - isolated - leaves - supports
+        assert prof.delta_star == min((g.deg[v] for v in core), default=None)
+        ends = [v for e in g.edges for v in e]
+        assert prof.odd_count == sum(1 for v in range(g.n) if ends.count(v) % 2)
 
 
 def _component_count(g):

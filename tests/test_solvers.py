@@ -26,7 +26,6 @@ from signeddom import (
     random_tree,
     signed_domination,
     star_graph,
-    structural_profile,
     tuple_domination_number,
     verify_sdf,
     vertex_set_violations,
@@ -110,8 +109,10 @@ def test_partition_stats_invariants():
         stats = partition_stats(g, f)
         # every edge is inside V+, inside V-, or crossing
         assert stats.e_plus + stats.e_minus + stats.cut == g.m
-        for v in range(g.n):
-            assert stats.deg_plus[v] + stats.deg_minus[v] == g.deg[v]
+        sign = f.assignment
+        assert stats.e_plus == sum(1 for u, v in g.edges if sign[u] == sign[v] == 1)
+        assert stats.e_minus == sum(1 for u, v in g.edges if sign[u] == sign[v] == -1)
+        assert stats.cut == sum(1 for u, v in g.edges if sign[u] != sign[v])
 
 
 # -- signed domination ----------------------------------------------------------
@@ -160,11 +161,11 @@ def test_signed_domination_parity_invariant():
 
 def test_optimal_witness_avoids_forced_vertices():
     for g in _small_corpus():
-        prof = structural_profile(g)
         _, witness = signed_domination(g)
-        pinned = prof.isolated | prof.leaves | prof.supports
-        assert pinned <= witness.plus_set
-        assert witness.minus_set <= prof.core
+        pinned = solvers.forced_plus_mask(g)
+        core = g.full_mask & ~pinned
+        assert not pinned & ~witness.plus_mask
+        assert not witness.minus_mask & ~core
 
 
 def test_signed_domination_size_caps():
@@ -174,6 +175,14 @@ def test_signed_domination_size_caps():
         signed_domination(cycle_graph(41), "branch_and_bound")
     with pytest.raises(ValueError, match="unknown mode"):
         signed_domination(cycle_graph(4), "magic")
+    # A star's core is empty, so gamma_s = n needs no search; the mode and
+    # the caps are still checked first.
+    with pytest.raises(SizeCapError, match="capped at n <= 40"):
+        signed_domination(star_graph(41))
+    with pytest.raises(SizeCapError, match="capped at n <= 20"):
+        signed_domination(star_graph(21), "oracle")
+    with pytest.raises(ValueError, match="unknown mode"):
+        signed_domination(star_graph(5), "magic")
 
 
 # -- subset solvers --------------------------------------------------------------
