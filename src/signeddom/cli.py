@@ -1,14 +1,16 @@
 """Command-line front end: gen, convert, solve, bounds, audit, hunt.
 
 Exit codes: 0 success, 1 usage or input error, 2 a bound violation was found
-by bounds, audit or hunt (the loud-failure path). All randomness is
-controlled by --seed.
+by bounds, audit or hunt (the loud-failure path), 141 (128 + SIGPIPE) when
+the reader closed standard output early. All randomness is controlled by
+--seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .audit import CORPUS_KINDS, BoundViolation, CorpusSpec, audit_corpus, audit_graph, hunt
@@ -101,10 +103,21 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flushed here, so a closed pipe surfaces below and not at exit.
+        sys.stdout.flush()
+        return code
     except BoundViolation as exc:
         print(exc.dump(), file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader is gone, as with `| head`: say nothing, point stdout at
+        # devnull so the flush at exit cannot fail again, and exit as a shell
+        # reports a writer killed by SIGPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

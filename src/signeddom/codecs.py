@@ -80,7 +80,7 @@ def detect_format(text: bytes | str) -> str:
 
 def _parse_edgelist(text: str) -> Graph:
     header = None
-    # A set, so each duplicate check is O(1); Graph sorts the edges anyway.
+    # A set, so each duplicate check is O(1); Graph lists the edges in order anyway.
     edges = set()
     n = m = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -160,13 +160,16 @@ def _parse_graph6(text: str) -> Graph:
         raise GraphFormatError("nonzero graph6 padding bits", offset=len(s) - 1)
     bitstream >>= pad
     edges = []
-    # Column-major upper triangle, most significant bit first.
-    pos = nbits
-    for j in range(1, n):
-        for i in range(j):
-            pos -= 1
-            if bitstream >> pos & 1:
-                edges.append((i, j))
+    # Column-major upper triangle, most significant bit first: column j holds
+    # rows 0..j-1 in its j bits, row i at bit j-1-i, and the last column is
+    # the lowest. Only the set bits of each column are visited.
+    for j in range(n - 1, 0, -1):
+        col = bitstream & ((1 << j) - 1)
+        bitstream >>= j
+        while col:
+            low = col & -col
+            edges.append((j - low.bit_length(), j))
+            col ^= low
     return Graph(n, edges)
 
 
@@ -175,12 +178,16 @@ def _serialize_graph6(g: Graph) -> str:
         raise ValueError(f"graph too large for graph6 short form (n={g.n} > {_G6_MAX_N})")
     n = g.n
     bitstream = 0
-    nbits = 0
-    for j in range(1, n):
-        col = g.adj[j]
-        for i in range(j):
-            bitstream = (bitstream << 1) | (col >> i & 1)
-            nbits += 1
+    # Each column j from the set bits of its lower neighbours, row i at bit j-1-i.
+    for j, nbrs in enumerate(g.adj):
+        lower = nbrs & ((1 << j) - 1)
+        col = 0
+        while lower:
+            low = lower & -lower
+            col |= 1 << (j - low.bit_length())
+            lower ^= low
+        bitstream = bitstream << j | col
+    nbits = n * (n - 1) // 2
     pad = (-nbits) % 6
     bitstream <<= pad
     nbits += pad

@@ -30,20 +30,26 @@ class Graph:
             raise ValueError(f"vertex count {n} exceeds cap {MAX_VERTICES}")
         self.n = n
         adj = [0] * n
-        seen = set()
         for e in edges:
             u, v = e
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) has endpoint outside 0..{n - 1}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge ({key[0]},{key[1]})")
-            seen.add(key)
+            if adj[u] >> v & 1:
+                raise ValueError(f"duplicate edge ({min(u, v)},{max(u, v)})")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        self.edges = tuple(sorted(seen))
+        # Read off the masks, each vertex's higher neighbours in turn: the
+        # pairs come out ascending with no sort.
+        pairs = []
+        for u in range(n):
+            higher = adj[u] >> u >> 1
+            while higher:
+                low = higher & -higher
+                pairs.append((u, u + low.bit_length()))
+                higher ^= low
+        self.edges = tuple(pairs)
         self.adj = tuple(adj)
         # Tuples from lists, not generators: a tuple built from a generator is
         # resized as it grows and, once freed, piles up in CPython's per-size

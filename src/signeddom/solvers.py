@@ -311,7 +311,7 @@ def _solve_packing(g: Graph, cap, lex_least: bool, least_complement: bool = Fals
     if relabel is None or relabel.graph is not g:
         relabel = _last_order = DegreeOrder(g)
     order = relabel.order
-    # Neither pass changes its rooms for good, so a forest's caps serve as they are.
+    # Neither pass writes to its rooms, so a forest's caps serve as they are.
     room = cap if order is None else [cap[v] for v in order]
     avail = _open_mask(relabel.closed, room)
     if not avail:
@@ -352,7 +352,9 @@ def _lex_least(relabel: DegreeOrder, cap, size: int, witness: int, least_complem
     undecided vertices, from the rooms the prefix leaves; a set found
     becomes the witness. This is the greedy that an index-order search
     trying the preferred choice first follows to its first optimal leaf.
-    RuntimeError if the final set is infeasible or not of ``size`` members.
+    ``cap`` is only read: the walk keeps the rooms in a list of its own,
+    which each query only reads. RuntimeError if the final set is
+    infeasible or not of ``size`` members.
     """
     closed, nbhd = relabel.closed, relabel.nbhd
     room = list(cap)
@@ -413,23 +415,25 @@ def _max_packing(relabel: DegreeOrder, room, avail: int, target=None):
     Runs on ``relabel``'s labels and branches on the vertices in ascending
     label order, trying "in S" first. ``room[v]`` starts as the members v
     may still take (never negative: the caps are at least 0, and a walk's
-    rooms stay so), and the search keeps it at that minus |N[v] & S| and
-    restores it on return. ``avail`` holds the undecided vertices whose
-    closed neighbourhood has no full vertex (room 0); only those can still
-    join S, so the caller removes every closed neighbourhood of a full vertex
-    from it. A node dies when ``size + |avail|`` cannot beat the incumbent,
-    or else when the degree-sum bound cannot, or else when a greedy cover
-    cannot. The degree-sum bound is the paper's double count: a member u
-    uses one unit of room at each vertex of N[u], so the members still to
-    come have sizes |N[u]| that sum to at most ``spare``, the total room
-    left (the sum of the rooms at the root, less |N[i]| in i's in-branch). To
-    beat the incumbent a node needs ``best - size + 1`` more, and the
-    lightest that many are the lowest available labels, since sizes ascend
-    with the label; the node dies when their sizes sum past ``spare``. The
-    sizes of the highest and the lowest available label bracket that sum, so
-    the sum is taken only between them. The cover splits ``avail`` into
-    groups N[u] & rest, one centre u per group, and at most room[u] of a
-    group can join S.
+    rooms stay so). The search only reads the caller's list: the in-branch
+    of a vertex i gets its own copy, one less at every vertex of N[i], so
+    each node's rooms are the caller's minus |N[v] & S|. ``avail`` holds
+    the undecided vertices whose closed neighbourhood has no full vertex
+    (room 0); only those can still join S, so the caller removes every
+    closed neighbourhood of a full vertex from it. A node dies when
+    ``size + |avail|`` cannot beat the incumbent, or else when the
+    degree-sum bound cannot, or else when a greedy cover cannot. The
+    degree-sum bound is the paper's double count: a member u uses one unit
+    of room at each vertex of N[u], so the members still to come have sizes
+    |N[u]| that sum to at most ``spare``, the total room left (the sum of
+    the rooms at the root, less |N[i]| in i's in-branch). To beat the
+    incumbent a node needs ``best - size + 1`` more, and the lightest that
+    many are the lowest available labels, since sizes ascend with the label;
+    the node dies when their sizes sum past ``spare``. The sizes of the
+    highest and the lowest available label bracket that sum, so the sum is
+    taken only between them. The cover splits ``avail`` into groups
+    N[u] & rest, one centre u per group, and at most room[u] of a group can
+    join S.
 
     Leaving u out of S also leaves out every undecided v with N[u] ⊆ N[v]
     (``relabel.drop``): for a set S there with v, S - v + u has the same size,
@@ -453,65 +457,71 @@ def _max_packing(relabel: DegreeOrder, room, avail: int, target=None):
     nbhd = relabel.nbhd
     sizes = relabel.sizes
     drop = relabel.drop
-    # Below any hit - room[u]: a group holds at least the vertex w it covers.
+    # Below any |N[u] & rest| - room[u]: a group holds at least the vertex w it covers.
     floor = -max(room, default=0)
     best = -1 if target is None else target - 1
     witness = 0
     stop = target is not None
 
-    def search(avail: int, size: int, members: int, spare: int) -> bool:
+    def search(avail: int, size: int, members: int, spare: int, room) -> bool:
         # True stops the search: an existence query keeps its first leaf.
+        # Each pass of the loop is one node; the out-branch stays in the frame.
         nonlocal best, witness
-        if size + avail.bit_count() <= best:
-            return False
-        if not avail:
-            best, witness = size, members
-            return stop
-        # Degree-sum bound: the need lightest available vertices, the lowest
-        # labels, must fit their |N[u]| into the spare room.
-        need = best - size + 1
-        if need > 0 and need * sizes[avail.bit_length() - 1] > spare:
-            if need * sizes[(avail & -avail).bit_length() - 1] > spare:
+        while True:
+            if size + avail.bit_count() <= best:
                 return False
-            weight = 0
+            if not avail:
+                best, witness = size, members
+                return stop
+            low = avail & -avail
+            i = low.bit_length() - 1
+            # Degree-sum bound: the need lightest available vertices, the
+            # lowest labels, must fit their |N[u]| into the spare room.
+            need = best - size + 1
+            if need > 0 and need * sizes[avail.bit_length() - 1] > spare:
+                if need * sizes[i] > spare:
+                    return False
+                weight = 0
+                rest = avail
+                for _ in range(need):
+                    b = rest & -rest
+                    weight += sizes[b.bit_length() - 1]
+                    rest ^= b
+                if weight > spare:
+                    return False
+            # Greedy cover: the centre u in N[w] of the lowest uncovered w
+            # with the most |N[u] & rest| - room[u] (the first on ties).
+            bound = size
             rest = avail
-            for _ in range(need):
-                b = rest & -rest
-                weight += sizes[b.bit_length() - 1]
-                rest ^= b
-            if weight > spare:
-                return False
-        # Greedy cover: each u in N[w] of an available w has room[u] >= 1.
-        bound = size
-        rest = avail
-        while rest:
-            top = floor
-            for u in nbhd[(rest & -rest).bit_length() - 1]:
-                hit = (closed[u] & rest).bit_count()
-                left = room[u]
-                if hit - left > top:
-                    top, centre, take = hit - left, u, hit if hit < left else left
-            bound += take
-            if bound > best:
-                break
-            rest &= ~closed[centre]
-        else:
-            return False
-        low = avail & -avail
-        i = low.bit_length() - 1
-        nbrs = nbhd[i]
-        blocked = low
-        for u in nbrs:
-            room[u] -= 1
-            if not room[u]:
-                blocked |= closed[u]
-        found = search(avail & ~blocked, size + 1, members | low, spare - sizes[i])
-        for u in nbrs:
-            room[u] += 1
-        return found or search(avail & ~drop[i], size, members, spare)
+            w = i
+            while True:
+                top = floor
+                for u in nbhd[w]:
+                    d = (closed[u] & rest).bit_count() - room[u]
+                    if d > top:
+                        top = d
+                        centre = u
+                # The group takes min(|N[u] & rest|, room[u]) = room[u] + min(d, 0).
+                bound += room[centre] + top if top < 0 else room[centre]
+                if bound > best:
+                    break
+                rest &= ~closed[centre]
+                if not rest:
+                    return False
+                w = (rest & -rest).bit_length() - 1
+            # In-branch on a copy of the rooms, then the out-branch here.
+            inner = room[:]
+            blocked = low
+            for u in nbhd[i]:
+                inner[u] -= 1
+                if not inner[u]:
+                    blocked |= closed[u]
+            if search(avail & ~blocked, size + 1, members | low, spare - sizes[i], inner):
+                return True
+            avail &= ~drop[i]
 
     try:
-        search(avail, 0, 0, sum(room))
+        search(avail, 0, 0, sum(room), room)
     finally:
         # search refers to itself through its closure cell; clearing the cell
         # frees it at once instead of leaving a cycle to the garbage collector.

@@ -1,12 +1,19 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import signeddom.audit as audit_mod
 import signeddom.cli as cli_mod
 from signeddom import BoundViolation, audit_graph, cycle_graph, parse_graph, path_graph, serialize_graph, verify_sdf
 from signeddom.cli import main
 from signeddom.solvers import SignedFunction, VertexSet
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -316,3 +323,29 @@ def test_missing_file_exit_1(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_pipe_exits_141_quietly(tmp_path, unbuffered):
+    # A reader that is gone before the first write, as with `| head -c 0`:
+    # buffered, the write fails at the flush; unbuffered, inside print.
+    # Either way the command says nothing and exits as a shell reports SIGPIPE.
+    p7 = tmp_path / "p7.el"
+    p7.write_text(serialize_graph(path_graph(7), "edgelist"))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "signeddom.cli", "solve", "--param", "gamma_s", "--input", str(p7)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")

@@ -92,6 +92,17 @@ def test_graph6_fixed_vectors():
     assert parse_graph("A?", "graph6").m == 0
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 62])
+def test_graph6_round_trips_empty_and_complete(n):
+    # At n = 0 and 1 the empty and the complete graph are one graph.
+    for g in (Graph(n), Graph(n, [(i, j) for j in range(n) for i in range(j)])):
+        text = serialize_graph(g, "graph6")
+        assert len(text) == 1 + (n * (n - 1) // 2 + 5) // 6
+        back = parse_graph(text, "graph6")
+        assert back == g and back.adj == g.adj
+        assert serialize_graph(back, "graph6") == text
+
+
 def test_graph6_optional_header():
     assert parse_graph(">>graph6<<Bw", "graph6") == complete_graph(3)
 

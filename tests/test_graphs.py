@@ -24,6 +24,8 @@ def test_basic_graph_accessors():
     assert g.has_edge(1, 0) and not g.has_edge(0, 2)
     assert list(g.neighbors(1)) == [0, 2]
     assert g.deg == (1, 2, 2, 1)
+    # Edges are listed ascending whatever order they came in.
+    assert Graph(3, [(1, 2), (0, 1)]).edges == ((0, 1), (1, 2))
 
 
 def test_graph_rejects_self_loop():
@@ -32,7 +34,7 @@ def test_graph_rejects_self_loop():
 
 
 def test_graph_rejects_duplicate_edge():
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ValueError, match=r"duplicate edge \(0,1\)"):
         Graph(3, [(0, 1), (1, 0)])
 
 

@@ -512,6 +512,37 @@ def test_dominance_keeps_values_and_witnesses(name):
         assert _solve_packing(g, cap, True, least_complement=True) == (best, least_complement)
 
 
+def test_kernel_matches_subset_enumeration_and_only_reads_room(monkeypatch):
+    # Random rooms in 0..deg+1 over a random open set, in the degree order,
+    # forests included once their detection answers None: the value, a
+    # feasible set, existence queries on both sides of the optimum, and the
+    # caller's rooms as they were.
+    monkeypatch.setattr(solvers, "leaf_first_order", lambda g: None)
+    rng = random.Random(derive_seed(521, 0))
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        relabel = DegreeOrder(random_connected(n, rng.choice((0.3, 0.5, 0.8)), rng.getrandbits(32)))
+        closed = relabel.closed
+        room = [rng.randint(0, size) for size in relabel.sizes]
+        before = list(room)
+        avail = rng.getrandbits(n) & solvers._open_mask(closed, room)
+
+        def feasible(s):
+            return s & ~avail == 0 and all((c & s).bit_count() <= r for c, r in zip(closed, room))
+
+        opt, sub = 0, avail
+        while sub:
+            if sub.bit_count() > opt and feasible(sub):
+                opt = sub.bit_count()
+            sub = (sub - 1) & avail
+        size, s = solvers._max_packing(relabel, room, avail)
+        assert size == opt == s.bit_count() and feasible(s)
+        found, t = solvers._max_packing(relabel, room, avail, opt)
+        assert found == opt == t.bit_count() and feasible(t)
+        assert solvers._max_packing(relabel, room, avail, opt + 1) == (opt, 0)
+        assert room == before
+
+
 def test_witness_walk_rejects_an_inconsistent_search(monkeypatch):
     # A kernel whose existence queries answer "yes" with no members leads
     # the walk to a set short of the optimum; one that overstates the value
