@@ -10,13 +10,16 @@ greedy cover it prunes with the paper's double count (Lemma 3.1, Theorem
 the members still to come have |N[u]| summing to at most the room left.
 
 Every search runs on the graph relabelled in ascending (degree, index) order
-by a ``DegreeOrder``, which needs fewer search nodes. On a forest no search
-runs: the closed-neighbourhood matrix of a forest is totally balanced, so a
-greedy that scans the vertices leaf-first, each before its parent, and takes
-each vertex whose closed neighbourhood still has room finds a largest S for
-any capacities (Farber, Discrete Appl. Math. 7, 1984; Hoffman, Kolen &
-Sakarovitch, SIAM J. Alg. Disc. Meth. 6, 1985). It answers the value pass
-and every query of the witness walk below, in the graph's own labels.
+by a ``DegreeOrder``. A value pass branches in that order, which needs fewer
+search nodes; an existence query branches where the greedy cover bound
+breaks, which cuts the witness walk's nodes on most graphs. On a forest no
+search runs: the closed-neighbourhood matrix of a forest is totally
+balanced, so a greedy that scans the vertices leaf-first, each before its
+parent, and takes each vertex whose closed neighbourhood still has room
+finds a largest S for any capacities (Farber, Discrete Appl. Math. 7,
+1984; Hoffman, Kolen & Sakarovitch, SIAM J. Alg. Disc. Meth. 6, 1985). It
+answers the value pass and every query of the witness walk below, in the
+graph's own labels.
 ``_solve_packing`` derives the ``DegreeOrder`` itself and keeps the one of
 the graph it solved last, so back-to-back solves on one graph share it.
 
@@ -186,8 +189,9 @@ class DegreeOrder:
     holds u and every neighbour v with N[u] ⊆ N[v]: once a search leaves u
     out of S it may leave those v out too (see ``_max_packing``). Branching
     on low-degree vertices first needs fewer search nodes, so every solve
-    finds its optimum in this order, and a lex-least solve asks it the
-    existence queries of its witness walk (see ``_lex_least``).
+    finds its optimum in this order, and a lex-least solve asks the
+    existence queries of its witness walk in these labels (see
+    ``_lex_least``).
 
     On a forest no search runs: ``leaf_first`` holds the greedy's order
     (``graphs.leaf_first_order``), the labels are the graph's own, so
@@ -229,12 +233,12 @@ class DegreeOrder:
         for row in nbhd:
             row.sort()
         closed = [mask_of(row) for row in nbhd]
+        # v lies in every N[w], w in N[u], iff N[u] ⊆ N[v].
         drop = []
-        for c, row in zip(closed, nbhd):
-            mask = 0
-            for v in row:
-                if not c & ~closed[v]:
-                    mask |= 1 << v
+        for row in nbhd:
+            mask = -1
+            for w in row:
+                mask &= closed[w]
             drop.append(mask)
         self.order = order
         self.label = label
@@ -350,8 +354,11 @@ def _lex_least(relabel: DegreeOrder, cap, size: int, witness: int, least_complem
     is feasible and just as large, and becomes the witness. Failing that,
     the walk asks the kernel for a set of the optimum's size over the
     undecided vertices, from the rooms the prefix leaves; a set found
-    becomes the witness. This is the greedy that an index-order search
-    trying the preferred choice first follows to its first optimal leaf.
+    becomes the witness. The query branches where its cover bound breaks,
+    not in label order, so which set it finds is the kernel's choice, but
+    only whether one exists decides the walk. This is the greedy that an
+    index-order search trying the preferred choice first follows to its
+    first optimal leaf.
     ``cap`` is only read: the walk keeps the rooms in a list of its own,
     which each query only reads. RuntimeError if the final set is
     infeasible or not of ``size`` members.
@@ -412,40 +419,49 @@ def _lex_least(relabel: DegreeOrder, cap, size: int, witness: int, least_complem
 def _max_packing(relabel: DegreeOrder, room, avail: int, target=None):
     """(|S|, S as a bitmask) for a largest S ⊆ ``avail`` with |N[v] & S| <= room[v] at every v.
 
-    Runs on ``relabel``'s labels and branches on the vertices in ascending
-    label order, trying "in S" first. ``room[v]`` starts as the members v
-    may still take (never negative: the caps are at least 0, and a walk's
-    rooms stay so). The search only reads the caller's list: the in-branch
-    of a vertex i gets its own copy, one less at every vertex of N[i], so
-    each node's rooms are the caller's minus |N[v] & S|. ``avail`` holds
-    the undecided vertices whose closed neighbourhood has no full vertex
-    (room 0); only those can still join S, so the caller removes every
-    closed neighbourhood of a full vertex from it. A node dies when
-    ``size + |avail|`` cannot beat the incumbent, or else when the
-    degree-sum bound cannot, or else when a greedy cover cannot. The
-    degree-sum bound is the paper's double count: a member u uses one unit
-    of room at each vertex of N[u], so the members still to come have sizes
-    |N[u]| that sum to at most ``spare``, the total room left (the sum of
-    the rooms at the root, less |N[i]| in i's in-branch). To beat the
-    incumbent a node needs ``best - size + 1`` more, and the lightest that
-    many are the lowest available labels, since sizes ascend with the label;
-    the node dies when their sizes sum past ``spare``. The sizes of the
-    highest and the lowest available label bracket that sum, so the sum is
-    taken only between them. The cover splits ``avail`` into groups
-    N[u] & rest, one centre u per group, and at most room[u] of a group can
-    join S.
+    Runs on ``relabel``'s labels and branches on one available vertex per
+    node, trying "in S" first: a value pass (``target=None``) on the lowest,
+    an existence query (a ``target``) on the vertex the cover picks, below.
+    ``room[v]`` starts as the members v may still take (never negative: the
+    caps are at least 0, and a walk's rooms stay so). The search only reads
+    the caller's list: the in-branch of a vertex i gets its own copy, one
+    less at every vertex of N[i], so each node's rooms are the caller's
+    minus |N[v] & S|. ``avail`` holds the undecided vertices whose closed
+    neighbourhood has no full vertex (room 0); only those can still join S,
+    so the caller removes every closed neighbourhood of a full vertex from
+    it. A node dies when ``size + |avail|`` cannot beat the incumbent, or
+    else when the degree-sum bound cannot, or else when a greedy cover
+    cannot. The degree-sum bound is the paper's double count: a member u
+    uses one unit of room at each vertex of N[u], so the members still to
+    come have sizes |N[u]| that sum to at most ``spare``, the total room
+    left (the sum of the rooms at the root, less |N[i]| in i's in-branch).
+    To beat the incumbent a node needs ``best - size + 1`` more, and the
+    lightest that many are the lowest available labels, since sizes ascend
+    with the label; the node dies when their sizes sum past ``spare``. The
+    sizes of the highest and the lowest available label bracket that sum,
+    so the sum is taken only between them. The cover splits ``avail`` into
+    groups N[u] & rest, one centre u per group, each grown from the lowest
+    vertex w of rest, and at most room[u] of a group can join S; it stops
+    at the group that takes the bound past the incumbent. A node that needs
+    one more member skips it, since there the first group always passes.
+    An existence query branches on that last group's w (the lowest
+    available vertex when the cover did not run), where the bound breaks,
+    rather than on the lowest label.
 
     Leaving u out of S also leaves out every undecided v with N[u] ⊆ N[v]
     (``relabel.drop``): for a set S there with v, S - v + u has the same size,
-    is feasible, and lies in u's in-branch, which was searched first. So
-    every pruned subtree holds no set that beats what was found before it,
-    and the search meets the same first optimal leaf, whatever the bounds
-    cut: each of its ancestors can beat the incumbent of its time.
+    is feasible, and lies in u's in-branch, which was searched first. This
+    holds for any branching vertex u, as do the in/out split and both
+    bounds, so every pruned subtree holds no set that beats what was found
+    before it, and every query is exact. A value pass, branching in
+    ascending label order, meets the same first optimal leaf whatever the
+    bounds cut: each of its ancestors can beat the incumbent of its time.
 
     With ``target=None`` the search keeps the first optimum it reaches. With a
     ``target`` the incumbent starts at target - 1 and the search stops at the
     first leaf, a set of at least ``target`` members; it returns
-    (target - 1, 0) when there is none.
+    (target - 1, 0) when there is none. Which such set it finds depends on
+    the branching, but the witness walk only needs one.
 
     On a forest (``relabel.leaf_first`` set) no search runs: the leaf-first
     greedy of ``_leaf_first_packing`` answers, a maximum set, and with a
@@ -491,24 +507,32 @@ def _max_packing(relabel: DegreeOrder, room, avail: int, target=None):
                     return False
             # Greedy cover: the centre u in N[w] of the lowest uncovered w
             # with the most |N[u] & rest| - room[u] (the first on ties).
-            bound = size
-            rest = avail
-            w = i
-            while True:
-                top = floor
-                for u in nbhd[w]:
-                    d = (closed[u] & rest).bit_count() - room[u]
-                    if d > top:
-                        top = d
-                        centre = u
-                # The group takes min(|N[u] & rest|, room[u]) = room[u] + min(d, 0).
-                bound += room[centre] + top if top < 0 else room[centre]
-                if bound > best:
-                    break
-                rest &= ~closed[centre]
-                if not rest:
-                    return False
-                w = (rest & -rest).bit_length() - 1
+            # Below a need of 2 the first group, w = i, already beats best:
+            # it holds i, and every room in N[i] is at least 1.
+            if need > 1:
+                bound = size
+                rest = avail
+                w = i
+                while True:
+                    top = floor
+                    for u in nbhd[w]:
+                        d = (closed[u] & rest).bit_count() - room[u]
+                        if d > top:
+                            top = d
+                            centre = u
+                    # The group takes min(|N[u] & rest|, room[u]) = room[u] + min(d, 0).
+                    bound += room[centre] + top if top < 0 else room[centre]
+                    if bound > best:
+                        break
+                    rest &= ~closed[centre]
+                    if not rest:
+                        return False
+                    w = (rest & -rest).bit_length() - 1
+                if stop:
+                    # An existence query branches on w, the lowest vertex of
+                    # the group that took the bound past best.
+                    i = w
+                    low = 1 << w
             # In-branch on a copy of the rooms, then the out-branch here.
             inner = room[:]
             blocked = low

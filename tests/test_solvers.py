@@ -516,16 +516,26 @@ def test_kernel_matches_subset_enumeration_and_only_reads_room(monkeypatch):
     # Random rooms in 0..deg+1 over a random open set, in the degree order,
     # forests included once their detection answers None: the value, a
     # feasible set, existence queries on both sides of the optimum, and the
-    # caller's rooms as they were.
+    # caller's rooms as they were. The last 200 graphs are larger and denser,
+    # with few rooms of 0 and most open vertices available, so that covers
+    # span several groups and the queries branch above the lowest available
+    # vertex.
     monkeypatch.setattr(solvers, "leaf_first_order", lambda g: None)
     rng = random.Random(derive_seed(521, 0))
-    for _ in range(300):
-        n = rng.randint(1, 9)
-        relabel = DegreeOrder(random_connected(n, rng.choice((0.3, 0.5, 0.8)), rng.getrandbits(32)))
+    for k in range(500):
+        if k < 300:
+            n = rng.randint(1, 9)
+            relabel = DegreeOrder(random_connected(n, rng.choice((0.3, 0.5, 0.8)), rng.getrandbits(32)))
+            room = [rng.randint(0, size) for size in relabel.sizes]
+            avail = rng.getrandbits(n)
+        else:
+            n = rng.randint(10, 13)
+            relabel = DegreeOrder(random_connected(n, rng.choice((0.3, 0.5, 0.7, 0.9)), rng.getrandbits(32)))
+            room = [rng.randint(0, size) if rng.random() < 0.1 else rng.randint(1, size) for size in relabel.sizes]
+            avail = rng.getrandbits(n) | rng.getrandbits(n)
         closed = relabel.closed
-        room = [rng.randint(0, size) for size in relabel.sizes]
         before = list(room)
-        avail = rng.getrandbits(n) & solvers._open_mask(closed, room)
+        avail &= solvers._open_mask(closed, room)
 
         def feasible(s):
             return s & ~avail == 0 and all((c & s).bit_count() <= r for c, r in zip(closed, room))
@@ -537,10 +547,38 @@ def test_kernel_matches_subset_enumeration_and_only_reads_room(monkeypatch):
             sub = (sub - 1) & avail
         size, s = solvers._max_packing(relabel, room, avail)
         assert size == opt == s.bit_count() and feasible(s)
-        found, t = solvers._max_packing(relabel, room, avail, opt)
-        assert found == opt == t.bit_count() and feasible(t)
-        assert solvers._max_packing(relabel, room, avail, opt + 1) == (opt, 0)
+        for target in range(max(opt - 2, 0), opt + 2):
+            found, t = solvers._max_packing(relabel, room, avail, target)
+            if opt >= target:
+                assert found == t.bit_count() >= target and feasible(t)
+            else:
+                assert (found, t) == (target - 1, 0)
         assert room == before
+
+
+def test_drop_masks_hold_the_nesting_neighbours(monkeypatch):
+    # drop[u] is {v in N[u] : N[u] ⊆ N[v]}, checked in the graph's own labels
+    # on random graphs given twins (N[t] = N[u]) and vertices nested in a
+    # neighbour (N[x] ⊆ N[u]).
+    monkeypatch.setattr(solvers, "leaf_first_order", lambda g: None)
+    rng = random.Random(derive_seed(523, 0))
+    for _ in range(100):
+        base = random_connected(rng.randint(2, 9), rng.choice((0.3, 0.5, 0.8)), rng.getrandbits(32))
+        adj = [set(bits(a)) for a in base.adj]
+        for _ in range(rng.randint(1, 3)):
+            u = rng.randrange(len(adj))
+            nbrs = sorted(adj[u])
+            if rng.random() < 0.5:
+                nbrs = rng.sample(nbrs, rng.randint(0, len(nbrs)))
+            adj.append({u, *nbrs})
+            for v in adj[-1]:
+                adj[v].add(len(adj) - 1)
+        n = len(adj)
+        g = Graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
+        relabel = DegreeOrder(g)
+        for u in range(n):
+            nested = {v for v in bits(g.closed[u]) if not g.closed[u] & ~g.closed[v]}
+            assert {relabel.order[i] for i in bits(relabel.drop[relabel.label[u]])} == nested
 
 
 def test_witness_walk_rejects_an_inconsistent_search(monkeypatch):
