@@ -35,16 +35,6 @@ from fractions import Fraction
 
 from .graphs import StructuralProfile
 
-BOUND_ORDER = (
-    "thm2_1_ub",
-    "thm3_2_i",
-    "thm3_2_ii",
-    "thm3_3",
-    "thm3_4_tree",
-    "cor_tree",
-    "dunbar_tree",
-)
-
 LOWER = "lower"
 UPPER = "upper"
 
@@ -57,6 +47,8 @@ BOUND_KINDS = {
     "cor_tree": LOWER,
     "dunbar_tree": LOWER,
 }
+# The catalog order of the report columns: the dict lists the names in it.
+BOUND_ORDER = tuple(BOUND_KINDS)
 
 
 @dataclass(slots=True)

@@ -10,16 +10,15 @@ greedy cover it prunes with the paper's double count (Lemma 3.1, Theorem
 the members still to come have |N[u]| summing to at most the room left.
 
 Every search runs on the graph relabelled in ascending (degree, index) order
-by a ``DegreeOrder``. A value pass branches in that order, which needs fewer
-search nodes; an existence query branches where the greedy cover bound
-breaks, which cuts the witness walk's nodes on most graphs. On a forest no
-search runs: the closed-neighbourhood matrix of a forest is totally
-balanced, so a greedy that scans the vertices leaf-first, each before its
-parent, and takes each vertex whose closed neighbourhood still has room
-finds a largest S for any capacities (Farber, Discrete Appl. Math. 7,
-1984; Hoffman, Kolen & Sakarovitch, SIAM J. Alg. Disc. Meth. 6, 1985). It
-answers the value pass and every query of the witness walk below, in the
-graph's own labels.
+by a ``DegreeOrder``, and every search, value pass or existence query,
+branches where the greedy cover bound breaks, which needs fewer nodes than
+branching in label order on most graphs. On a forest no search runs: the
+closed-neighbourhood matrix of a forest is totally balanced, so a greedy
+that scans the vertices leaf-first, each before its parent, and takes each
+vertex whose closed neighbourhood still has room finds a largest S for any
+capacities (Farber, Discrete Appl. Math. 7, 1984; Hoffman, Kolen &
+Sakarovitch, SIAM J. Alg. Disc. Meth. 6, 1985). It answers the value pass
+and every query of the witness walk below, in the graph's own labels.
 ``_solve_packing`` derives the ``DegreeOrder`` itself and keeps the one of
 the graph it solved last, so back-to-back solves on one graph share it.
 
@@ -35,8 +34,9 @@ smallest optimal assignment (comparing per-vertex values with -1 < +1), and each
 subset solver the lexicographically least optimal set, or for the domination
 side the least optimal dominating set. With ``lex_least=False`` a subset
 solver skips the walk: same value, and W, just as optimal and valid but not
-lex-least. W is the kernel's first optimum in the degree order, or on a
-forest the greedy's set.
+lex-least. W is the first optimum the kernel reaches, or on a forest the
+greedy's set; which optimal set that is depends on the branching and the
+bounds, and is not a contract.
 A transparent oracle that enumerates all 2^n sign vectors is the independent
 second route for the signed domination number.
 
@@ -112,7 +112,7 @@ def signed_domination(g: Graph, mode: str = "branch_and_bound"):
 
     Dispatches on ``mode``: "oracle" enumerates all 2^n assignments, up to
     ``ORACLE_CAP`` vertices; "branch_and_bound" takes V- as a maximum packing
-    with capacities floor(deg/2), its value found in ascending-degree order,
+    with capacities floor(deg/2), its value found by the packing kernel,
     up to ``BNB_CAP`` vertices. Any other mode is a ValueError. The mode and
     the caps are checked first on every graph. When every vertex is
     isolated, a leaf, or a support, validity pins them all to +1, and the
@@ -187,11 +187,11 @@ class DegreeOrder:
     labels, ``nbhd`` the same neighbourhoods as ascending lists, and
     ``sizes`` their sizes |N[i]|, which ascend with the label. ``drop[u]``
     holds u and every neighbour v with N[u] ⊆ N[v]: once a search leaves u
-    out of S it may leave those v out too (see ``_max_packing``). Branching
-    on low-degree vertices first needs fewer search nodes, so every solve
-    finds its optimum in this order, and a lex-least solve asks the
-    existence queries of its witness walk in these labels (see
-    ``_lex_least``).
+    out of S it may leave those v out too (see ``_max_packing``). Every
+    search runs in these labels, value passes and the witness walk's
+    queries (see ``_lex_least``) alike. The degree-sum bound needs them to
+    ascend by degree, and the cover grows each group from its lowest label,
+    so the searches favour low-degree branching vertices.
 
     On a forest no search runs: ``leaf_first`` holds the greedy's order
     (``graphs.leaf_first_order``), the labels are the graph's own, so
@@ -258,9 +258,9 @@ def tuple_domination_number(g: Graph, k: int, *, lex_least: bool = True):
 
     D is k-tuple dominating iff its complement S has |N[v] & S| <= deg(v)+1-k
     at every v, so D is the complement of a maximum packing with those caps.
-    The value is found in ascending-degree order, and the set returned is the
-    lexicographically least minimum D. With ``lex_least=False`` it is the set
-    of that first pass: just as minimum and valid, but not always lex-least.
+    The value is found by the kernel's value pass, and the set returned is
+    the lexicographically least minimum D. With ``lex_least=False`` it is the
+    set of that pass: just as minimum and valid, but not always lex-least.
     """
     delta = min(g.deg) if g.n else 0
     if not 1 <= k <= delta + 1:
@@ -272,9 +272,9 @@ def tuple_domination_number(g: Graph, k: int, *, lex_least: bool = True):
 def limited_packing_number(g: Graph, k: int, *, lex_least: bool = True):
     """Maximum k-limited packing; requires k >= 1.
 
-    The value is found in ascending-degree order, and the set returned is the
-    lexicographically least maximum one. With ``lex_least=False`` it is the
-    set of that first pass: just as maximum and valid, but not always
+    The value is found by the kernel's value pass, and the set returned is
+    the lexicographically least maximum one. With ``lex_least=False`` it is
+    the set of that pass: just as maximum and valid, but not always
     lex-least.
     """
     if k < 1:
@@ -303,8 +303,8 @@ def _solve_packing(g: Graph, cap, lex_least: bool, least_complement: bool = Fals
     less, as for ``gamma_s`` on an empty core), the empty set is the one
     answer, (0, 0), with no pass. Otherwise the value pass runs on g's
     ``DegreeOrder``, reused when g is the graph solved last. Without
-    ``lex_least`` it maps that first optimum back to g's labels; on a forest
-    it is the leaf-first greedy's set, already in them. With ``lex_least``
+    ``lex_least`` it maps the pass's optimal set back to g's labels; on a
+    forest it is the leaf-first greedy's set, already in them. With ``lex_least``
     the witness walk of ``_lex_least`` returns the lexicographically least
     optimal S, or with ``least_complement`` the one whose complement is.
     """
@@ -354,10 +354,9 @@ def _lex_least(relabel: DegreeOrder, cap, size: int, witness: int, least_complem
     is feasible and just as large, and becomes the witness. Failing that,
     the walk asks the kernel for a set of the optimum's size over the
     undecided vertices, from the rooms the prefix leaves; a set found
-    becomes the witness. The query branches where its cover bound breaks,
-    not in label order, so which set it finds is the kernel's choice, but
-    only whether one exists decides the walk. This is the greedy that an
-    index-order search trying the preferred choice first follows to its
+    becomes the witness. Which set a query finds is the kernel's choice,
+    but only whether one exists decides the walk. This is the greedy that
+    an index-order search trying the preferred choice first follows to its
     first optimal leaf.
     ``cap`` is only read: the walk keeps the rooms in a list of its own,
     which each query only reads. RuntimeError if the final set is
@@ -420,48 +419,45 @@ def _max_packing(relabel: DegreeOrder, room, avail: int, target=None):
     """(|S|, S as a bitmask) for a largest S ⊆ ``avail`` with |N[v] & S| <= room[v] at every v.
 
     Runs on ``relabel``'s labels and branches on one available vertex per
-    node, trying "in S" first: a value pass (``target=None``) on the lowest,
-    an existence query (a ``target``) on the vertex the cover picks, below.
-    ``room[v]`` starts as the members v may still take (never negative: the
-    caps are at least 0, and a walk's rooms stay so). The search only reads
-    the caller's list: the in-branch of a vertex i gets its own copy, one
-    less at every vertex of N[i], so each node's rooms are the caller's
-    minus |N[v] & S|. ``avail`` holds the undecided vertices whose closed
-    neighbourhood has no full vertex (room 0); only those can still join S,
-    so the caller removes every closed neighbourhood of a full vertex from
-    it. A node dies when ``size + |avail|`` cannot beat the incumbent, or
-    else when the degree-sum bound cannot, or else when a greedy cover
-    cannot. The degree-sum bound is the paper's double count: a member u
-    uses one unit of room at each vertex of N[u], so the members still to
-    come have sizes |N[u]| that sum to at most ``spare``, the total room
-    left (the sum of the rooms at the root, less |N[i]| in i's in-branch).
-    To beat the incumbent a node needs ``best - size + 1`` more, and the
-    lightest that many are the lowest available labels, since sizes ascend
-    with the label; the node dies when their sizes sum past ``spare``. The
-    sizes of the highest and the lowest available label bracket that sum,
-    so the sum is taken only between them. The cover splits ``avail`` into
-    groups N[u] & rest, one centre u per group, each grown from the lowest
-    vertex w of rest, and at most room[u] of a group can join S; it stops
-    at the group that takes the bound past the incumbent. A node that needs
-    one more member skips it, since there the first group always passes.
-    An existence query branches on that last group's w (the lowest
-    available vertex when the cover did not run), where the bound breaks,
-    rather than on the lowest label.
+    node, trying "in S" first. ``room[v]`` starts as the members v may still
+    take (never negative: the caps are at least 0, and a walk's rooms stay
+    so). The search only reads the caller's list: the in-branch of a vertex
+    w gets its own copy, one less at every vertex of N[w], so each node's
+    rooms are the caller's minus |N[v] & S|. ``avail`` holds the undecided
+    vertices whose closed neighbourhood has no full vertex (room 0); only
+    those can still join S, so the caller removes every closed neighbourhood
+    of a full vertex from it. A node dies when ``size + |avail|`` cannot beat
+    the incumbent, or else when the degree-sum bound cannot, or else when a
+    greedy cover cannot. The degree-sum bound is the paper's double count: a
+    member u uses one unit of room at each vertex of N[u], so the members
+    still to come have sizes |N[u]| that sum to at most ``spare``, the total
+    room left (the sum of the rooms at the root, less |N[w]| in w's
+    in-branch). To beat the incumbent a node needs ``best - size + 1`` more,
+    and the lightest that many are the lowest available labels, since sizes
+    ascend with the label; the node dies when their sizes sum past
+    ``spare``. The sizes of the highest and the lowest available label
+    bracket that sum, so the sum is taken only between them. The cover
+    splits ``avail`` into groups N[u] & rest, one centre u per group, each
+    grown from the lowest vertex w of rest, and at most room[u] of a group
+    can join S; it stops at the group that takes the bound past the
+    incumbent. A node that needs one more member skips it, since there the
+    first group always passes. Every node branches on that last group's w,
+    where the bound breaks (the lowest available label when the cover did
+    not run).
 
-    Leaving u out of S also leaves out every undecided v with N[u] ⊆ N[v]
-    (``relabel.drop``): for a set S there with v, S - v + u has the same size,
-    is feasible, and lies in u's in-branch, which was searched first. This
-    holds for any branching vertex u, as do the in/out split and both
+    Leaving w out of S also leaves out every undecided v with N[w] ⊆ N[v]
+    (``relabel.drop``): for a set S there with v, S - v + w has the same size,
+    is feasible, and lies in w's in-branch, which was searched first. This
+    holds for any branching vertex w, as do the in/out split and both
     bounds, so every pruned subtree holds no set that beats what was found
-    before it, and every query is exact. A value pass, branching in
-    ascending label order, meets the same first optimal leaf whatever the
-    bounds cut: each of its ancestors can beat the incumbent of its time.
+    before it, and every search is exact.
 
     With ``target=None`` the search keeps the first optimum it reaches. With a
     ``target`` the incumbent starts at target - 1 and the search stops at the
     first leaf, a set of at least ``target`` members; it returns
-    (target - 1, 0) when there is none. Which such set it finds depends on
-    the branching, but the witness walk only needs one.
+    (target - 1, 0) when there is none. Which optimal set either finds
+    depends on the branching and the bounds; the value is exact, and the
+    witness walk only needs one set.
 
     On a forest (``relabel.leaf_first`` set) no search runs: the leaf-first
     greedy of ``_leaf_first_packing`` answers, a maximum set, and with a
@@ -489,13 +485,12 @@ def _max_packing(relabel: DegreeOrder, room, avail: int, target=None):
             if not avail:
                 best, witness = size, members
                 return stop
-            low = avail & -avail
-            i = low.bit_length() - 1
+            w = (avail & -avail).bit_length() - 1
             # Degree-sum bound: the need lightest available vertices, the
             # lowest labels, must fit their |N[u]| into the spare room.
             need = best - size + 1
             if need > 0 and need * sizes[avail.bit_length() - 1] > spare:
-                if need * sizes[i] > spare:
+                if need * sizes[w] > spare:
                     return False
                 weight = 0
                 rest = avail
@@ -507,12 +502,12 @@ def _max_packing(relabel: DegreeOrder, room, avail: int, target=None):
                     return False
             # Greedy cover: the centre u in N[w] of the lowest uncovered w
             # with the most |N[u] & rest| - room[u] (the first on ties).
-            # Below a need of 2 the first group, w = i, already beats best:
-            # it holds i, and every room in N[i] is at least 1.
+            # Below a need of 2 the first group, grown from the lowest
+            # available w, already beats best: it holds w, and every room in
+            # N[w] is at least 1.
             if need > 1:
                 bound = size
                 rest = avail
-                w = i
                 while True:
                     top = floor
                     for u in nbhd[w]:
@@ -528,21 +523,20 @@ def _max_packing(relabel: DegreeOrder, room, avail: int, target=None):
                     if not rest:
                         return False
                     w = (rest & -rest).bit_length() - 1
-                if stop:
-                    # An existence query branches on w, the lowest vertex of
-                    # the group that took the bound past best.
-                    i = w
-                    low = 1 << w
-            # In-branch on a copy of the rooms, then the out-branch here.
+            # Branch on w, the lowest vertex of the group that took the bound
+            # past best (the lowest available one when the cover did not
+            # run): the in-branch on a copy of the rooms, then the out-branch
+            # here.
+            bit = 1 << w
             inner = room[:]
-            blocked = low
-            for u in nbhd[i]:
+            blocked = bit
+            for u in nbhd[w]:
                 inner[u] -= 1
                 if not inner[u]:
                     blocked |= closed[u]
-            if search(avail & ~blocked, size + 1, members | low, spare - sizes[i], inner):
+            if search(avail & ~blocked, size + 1, members | bit, spare - sizes[w], inner):
                 return True
-            avail &= ~drop[i]
+            avail &= ~drop[w]
 
     try:
         search(avail, 0, 0, sum(room), room)

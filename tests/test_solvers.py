@@ -321,7 +321,9 @@ def test_value_only_domination_keeps_values():
 def test_value_only_sets_follow_the_degree_order():
     # The paw: triangle 0-1-2 with the leaf 3 on 2. Its maximum packings are
     # its single vertices. The degree order is 3, 0, 1, 2, and the kernel's
-    # first optimum there is S = {3}. For gamma_x2 (caps deg - 1) S lies in
+    # first optimum there is S = {3}: a value pass branches in label order
+    # until its first leaf, since the cover picks the branching vertex only
+    # once a node needs two more members. For gamma_x2 (caps deg - 1) S lies in
     # {0, 1} and the first optimum is S = {0}, so the value-only D is
     # {1, 2, 3}, where the least is {0, 2, 3}.
     g = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
@@ -711,9 +713,42 @@ def test_signed_domination_pinned_witnesses(n, p, value, witness):
     assert signed_domination(g) == result
 
 
+# The lex-least sets on the graphs of PINNED_WITNESSES: (n, p, (gamma,
+# gamma_x2, L_2, rho) sets), frozen while value passes still branched in label
+# order. The witness walk starts from the value pass's set, so a change to
+# the kernel's branching moves where the walk starts but never where it ends.
+PINNED_LEX_LEAST_SETS = [
+    (22, 0.3, ("0 1 3 12", "0 1 2 3 5 13 15", "1 7 8 11 17 20", "8 20 21")),
+    (22, 0.9, ("3", "3 5", "0 1", "0")),
+    (23, 0.5, ("0 2 15", "1 7 16 22", "2 3 4", "0")),
+    (24, 0.7, ("0 5", "0 5 6", "0 1", "0")),
+    (24, 0.3, ("0 1 7 19", "1 8 13 17 19 23", "5 6 11 16 17 20", "6 16 20")),
+    (25, 0.9, ("3", "3 16", "0 1", "0")),
+    (26, 0.5, ("0 3 20", "8 10 11 17", "0 1 9", "0")),
+    (26, 0.7, ("0 24", "2 4 16", "0 1", "0")),
+]
+
+
+@pytest.mark.parametrize("n,p,sets", PINNED_LEX_LEAST_SETS)
+def test_lex_least_pinned_sets(n, p, sets):
+    g = random_connected(n, p, derive_seed(2718, 100 * n + round(10 * p)))
+    found = []
+    for value, vs in (
+        domination_number(g),
+        tuple_domination_number(g, 2),
+        limited_packing_number(g, 2),
+        packing_number(g),
+    ):
+        assert value == vs.size and vertex_set_violations(g, vs) == []
+        found.append(" ".join(map(str, vs.sorted_members())))
+    assert tuple(found) == sets
+
+
 # The value-only sets (lex_least=False) on the graphs of PINNED_WITNESSES:
 # (n, p, (gamma, gamma_x2, L_2, rho) sets), frozen before the degree-sum bound
-# joined the kernel. A bound that only prunes keeps the first optimum.
+# joined the kernel. Each is the first optimum the kernel reaches, which
+# depends on where it branches, and so on every bound that moves where the
+# cover breaks: these pin the kernel's behaviour, not a contract.
 PINNED_VALUE_ONLY_SETS = [
     (22, 0.3, ("2 3 16 19", "0 2 3 5 15 16 19", "1 7 8 11 17 20", "8 20 21")),
     (22, 0.9, ("19", "5 19", "2 9", "2")),
