@@ -395,10 +395,10 @@ def _invariant_checks(g: Graph, profile: StructuralProfile, report: BoundReport)
         profile.odd_count + 2 * minus_count <= 2 * stats.e_plus - 2 * stats.e_minus
     )
 
-    claim1 = VertexSet(witness.minus_set, ROLE_LIMITED_PACKING, profile.Delta // 2)
+    claim1 = VertexSet(witness.minus_mask, ROLE_LIMITED_PACKING, profile.Delta // 2)
     checks["claim1_limited_packing"] = not vertex_set_violations(g, claim1)
 
-    claim2 = VertexSet(witness.plus_set, ROLE_TUPLE_DOMINATING, report.tuple_k)
+    claim2 = VertexSet(witness.plus_mask, ROLE_TUPLE_DOMINATING, report.tuple_k)
     checks["claim2_tuple_dom"] = not vertex_set_violations(g, claim2)
 
     if report.limited_packing_k:

@@ -1,15 +1,18 @@
 """Certificates and the one check that a returned value matches its certificate.
 
 A ``SignedFunction`` certifies ``gamma_s``; a ``VertexSet`` certifies ``gamma``,
-``rho``, ``L_k`` or ``gamma_xk``. ``check`` is the audit's and the CLI's one
-re-check. This module imports no solver, so it is independent of what it checks.
+``rho``, ``L_k`` or ``gamma_xk``. Both store their vertex sets as bit masks,
+bit v for vertex v, as ``Graph`` stores its neighbourhoods, so the solvers hand
+over their masks and the checks read them with no conversion. ``check`` is the
+audit's and the CLI's one re-check. This module imports no solver, so it is
+independent of what it checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graphs import Graph, mask_of
+from .graphs import Graph, bits
 
 ROLE_TUPLE_DOMINATING = "tuple_dominating"
 ROLE_LIMITED_PACKING = "limited_packing"
@@ -53,41 +56,45 @@ class SignedFunction:
     def minus_mask(self) -> int:
         return ((1 << len(self.assignment)) - 1) ^ self._plus
 
-    @property
-    def plus_set(self) -> frozenset:
-        return frozenset(v for v, a in enumerate(self.assignment) if a == 1)
-
-    @property
-    def minus_set(self) -> frozenset:
-        return frozenset(v for v, a in enumerate(self.assignment) if a == -1)
-
     @classmethod
-    def from_minus_set(cls, n: int, minus) -> "SignedFunction":
-        minus = set(minus)
-        return cls(tuple([-1 if v in minus else 1 for v in range(n)]))
+    def from_minus_mask(cls, n: int, minus: int) -> "SignedFunction":
+        """The labeling of vertices 0..n-1 that is -1 exactly on the bits of ``minus``.
+
+        ValueError for a negative mask or a bit at index n or above.
+        """
+        if minus < 0 or minus >> n:
+            raise ValueError(f"minus mask has a vertex outside 0..{n - 1}")
+        return cls(tuple([-1 if minus >> v & 1 else 1 for v in range(n)]))
 
     def __str__(self):
         return "".join("+" if a == 1 else "-" for a in self.assignment)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VertexSet:
-    """A vertex subset certificate: a k-tuple dominating set or a k-limited packing."""
+    """A vertex subset certificate: a k-tuple dominating set or a k-limited packing.
 
-    members: frozenset
+    The set is stored as one bit mask, bit v for vertex v. ``size``,
+    ``sorted_members()`` and the read-only ``members`` view derive from it.
+    """
+
+    mask: int
     role: str
     k: int
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
     @property
-    def mask(self) -> int:
-        return mask_of(self.members)
+    def members(self) -> frozenset:
+        return frozenset(self.sorted_members())
 
-    def sorted_members(self):
-        return tuple(sorted(self.members))
+    def sorted_members(self) -> tuple:
+        # A negative mask has infinitely many set bits; refuse it, not loop.
+        if self.mask < 0:
+            raise ValueError("member index outside graph")
+        return tuple(bits(self.mask))
 
 
 def verify_sdf(g: Graph, f: SignedFunction) -> list:
@@ -104,9 +111,9 @@ def verify_sdf(g: Graph, f: SignedFunction) -> list:
 
 def vertex_set_violations(g: Graph, vs: VertexSet) -> list:
     """Vertices violating the role invariant of ``vs``; empty iff valid."""
-    if vs.members and not 0 <= min(vs.members) <= max(vs.members) < g.n:
-        raise ValueError("member index outside graph")
     mask = vs.mask
+    if mask < 0 or mask >> g.n:
+        raise ValueError("member index outside graph")
     out = []
     if vs.role == ROLE_TUPLE_DOMINATING:
         for v in range(g.n):

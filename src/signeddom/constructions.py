@@ -7,6 +7,10 @@ closed neighborhood keeps at least deg(v) - 2*floor(delta/2) + 1 >= 1 once
 delta >= 2. ``augment_packing`` and ``shrink_tuple_dominating`` are the
 one-step moves whose iteration yields the chains
 L_{k+1} >= L_k + 1 and gamma_x(k+1) >= gamma_xk + 1.
+
+Every procedure works on the bit mask a ``VertexSet`` stores: a move adds or
+drops one bit, and the least member of a mask m is its lowest set bit,
+``m & -m``.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ from .graphs import Graph, bits
 _ROLE_NOUNS = {ROLE_LIMITED_PACKING: "limited packing", ROLE_TUPLE_DOMINATING: "tuple dominating set"}
 
 
-def _require(g: Graph, members, role: str, k: int) -> None:
-    """Raise ValueError unless ``members`` is a valid set of ``role`` at k in g."""
-    bad = vertex_set_violations(g, VertexSet(members, role, k))
+def _require(g: Graph, mask: int, role: str, k: int) -> None:
+    """Raise ValueError unless ``mask`` holds a valid set of ``role`` at k in g."""
+    bad = vertex_set_violations(g, VertexSet(mask, role, k))
     if bad:
         raise ValueError(f"not a {k}-{_ROLE_NOUNS[role]}; violated at vertices {bad}")
 
@@ -36,8 +40,8 @@ def sdf_from_limited_packing(g: Graph, B: VertexSet) -> SignedFunction:
     delta = min(g.deg) if g.n else 0
     if delta < 2:
         raise ValueError(f"requires minimum degree >= 2, got {delta}")
-    _require(g, B.members, ROLE_LIMITED_PACKING, delta // 2)
-    return SignedFunction.from_minus_set(g.n, B.members)
+    _require(g, B.mask, ROLE_LIMITED_PACKING, delta // 2)
+    return SignedFunction.from_minus_mask(g.n, B.mask)
 
 
 def greedy_limited_packing(g: Graph, k: int) -> VertexSet:
@@ -45,13 +49,13 @@ def greedy_limited_packing(g: Graph, k: int) -> VertexSet:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     load = [0] * g.n
-    members = []
+    members = 0
     for v in range(g.n):
         if all(load[u] < k for u in bits(g.closed[v])):
-            members.append(v)
+            members |= 1 << v
             for u in bits(g.closed[v]):
                 load[u] += 1
-    return VertexSet(frozenset(members), ROLE_LIMITED_PACKING, k)
+    return VertexSet(members, ROLE_LIMITED_PACKING, k)
 
 
 def augment_packing(g: Graph, B: VertexSet, k: int) -> VertexSet:
@@ -60,19 +64,19 @@ def augment_packing(g: Graph, B: VertexSet, k: int) -> VertexSet:
     Sound because one new member raises each closed-neighborhood count by at
     most one.
     """
-    if len(B.members) >= g.n:
+    if B.size >= g.n:
         raise ValueError("packing already covers all vertices; nothing to add")
-    _require(g, B.members, ROLE_LIMITED_PACKING, k)
-    u = min(v for v in range(g.n) if v not in B.members)
-    return VertexSet(B.members | {u}, ROLE_LIMITED_PACKING, k + 1)
+    _require(g, B.mask, ROLE_LIMITED_PACKING, k)
+    free = g.full_mask & ~B.mask
+    return VertexSet(B.mask | (free & -free), ROLE_LIMITED_PACKING, k + 1)
 
 
 def shrink_tuple_dominating(g: Graph, D: VertexSet, k: int) -> VertexSet:
     """Drop the least-index member: a (k-1)-tuple dominating set of size |D|-1."""
     if k < 2:
         raise ValueError(f"shrinking needs k >= 2, got {k}")
-    if not D.members:
+    m = D.mask
+    if not m:
         raise ValueError("cannot shrink an empty set")
-    _require(g, D.members, ROLE_TUPLE_DOMINATING, k)
-    u = min(D.members)
-    return VertexSet(D.members - {u}, ROLE_TUPLE_DOMINATING, k - 1)
+    _require(g, m, ROLE_TUPLE_DOMINATING, k)
+    return VertexSet(m & (m - 1), ROLE_TUPLE_DOMINATING, k - 1)

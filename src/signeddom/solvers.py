@@ -127,7 +127,7 @@ def signed_domination(g: Graph, mode: str = "branch_and_bound"):
         return _sdf_oracle(g)
     if mode in ("branch_and_bound", "bnb"):
         size, minus = _solve_packing(g, [d // 2 for d in g.deg], True)
-        return n - 2 * size, SignedFunction.from_minus_set(n, bits(minus))
+        return n - 2 * size, SignedFunction.from_minus_mask(n, minus)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -266,7 +266,7 @@ def tuple_domination_number(g: Graph, k: int, *, lex_least: bool = True):
     if not 1 <= k <= delta + 1:
         raise ValueError(f"k must satisfy 1 <= k <= delta+1 = {delta + 1}, got {k}")
     size, s = _solve_packing(g, [d + 1 - k for d in g.deg], lex_least, least_complement=True)
-    return g.n - size, VertexSet(frozenset(bits(g.full_mask & ~s)), ROLE_TUPLE_DOMINATING, k)
+    return g.n - size, VertexSet(g.full_mask & ~s, ROLE_TUPLE_DOMINATING, k)
 
 
 def limited_packing_number(g: Graph, k: int, *, lex_least: bool = True):
@@ -280,7 +280,7 @@ def limited_packing_number(g: Graph, k: int, *, lex_least: bool = True):
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     size, s = _solve_packing(g, [k] * g.n, lex_least)
-    return size, VertexSet(frozenset(bits(s)), ROLE_LIMITED_PACKING, k)
+    return size, VertexSet(s, ROLE_LIMITED_PACKING, k)
 
 
 def packing_number(g: Graph, *, lex_least: bool = True):

@@ -166,7 +166,7 @@ def test_criterion_5_constructive_chain(random_corpus):
             failures += 1
         else:
             # augmenting a maximum packing certifies L_half >= rho + half - 1
-            current = VertexSet(max_packing.members, "limited_packing", 1)
+            current = VertexSet(max_packing.mask, "limited_packing", 1)
             for k in range(1, half):
                 current = augment_packing(g, current, k)
                 if vertex_set_violations(g, current):

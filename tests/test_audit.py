@@ -33,6 +33,7 @@ from signeddom import (
 )
 from signeddom.audit import CSV_HEADER
 from signeddom.bounds import BOUND_ORDER
+from signeddom.graphs import mask_of
 from signeddom.solvers import VertexSet
 
 
@@ -251,7 +252,7 @@ def _tamper_sets(monkeypatch, name, members):
 
     def tampered(*args, **kwargs):
         value, vs = real(*args, **kwargs)
-        return value, VertexSet(frozenset(members(value)), vs.role, vs.k)
+        return value, VertexSet(mask_of(members(value)), vs.role, vs.k)
 
     monkeypatch.setattr(audit_mod, name, tampered)
 
@@ -274,7 +275,7 @@ def test_subset_certificate_of_another_k_aborts(monkeypatch):
     # C6 asks for a 2-tuple dominating set. {0, 1, 2, 3} is a tuple dominating
     # set at k = 1 only: at k = 2 it fails at vertices 4 and 5.
     monkeypatch.setattr(audit_mod, "tuple_domination_number",
-                        lambda g, k, **kw: (4, VertexSet(frozenset({0, 1, 2, 3}), "tuple_dominating", 1)))
+                        lambda g, k, **kw: (4, VertexSet(mask_of({0, 1, 2, 3}), "tuple_dominating", 1)))
     with pytest.raises(BoundViolation) as info:
         audit_graph(cycle_graph(6), "C6")
     assert str(info.value) == (
@@ -386,8 +387,8 @@ def test_invalid_gamma_s_witness_aborts(monkeypatch):
     # C6 has gamma_s = 2; flipping the witness's first + to - keeps the
     # claimed value but breaks the closed neighbourhood sums.
     def flip(value, f):
-        minus = set(f.minus_set) | {f.assignment.index(1)}
-        return value, SignedFunction.from_minus_set(f.n, minus)
+        minus = f.minus_mask | 1 << f.assignment.index(1)
+        return value, SignedFunction.from_minus_mask(f.n, minus)
 
     _tamper_gamma_s(monkeypatch, flip)
     with pytest.raises(BoundViolation, match="gamma_s = 2 has a witness of weight 0 invalid"):

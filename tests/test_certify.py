@@ -3,7 +3,7 @@
 import pytest
 
 from signeddom.certify import SignedFunction, VertexSet, check
-from signeddom.graphs import Graph
+from signeddom.graphs import Graph, mask_of
 
 # C10 with chords i ~ i + 2: 4-regular, so L_k is at k = 2 and gamma_xk at k = 3.
 C10_1_2 = Graph(10, [(i, (i + d) % 10) for i in range(10) for d in (1, 2)])
@@ -21,8 +21,8 @@ CLAIMS = [
 
 def _cert(role, k, members):
     if role is None:
-        return SignedFunction.from_minus_set(C10_1_2.n, members)
-    return VertexSet(frozenset(members), role, k)
+        return SignedFunction.from_minus_mask(C10_1_2.n, mask_of(members))
+    return VertexSet(mask_of(members), role, k)
 
 
 @pytest.mark.parametrize("name, value, role, k, members, swapped_bad", CLAIMS, ids=[c[0] for c in CLAIMS])
@@ -45,9 +45,9 @@ def test_check(name, value, role, k, members, swapped_bad):
     # assignment for a subset value.
     want = "a sign assignment" if role is None else f"a {role} set at k = {k}"
     other_role = "limited_packing" if role == "tuple_dominating" else "tuple_dominating"
-    wrong = [(VertexSet(frozenset(members), other_role, k or 1), f"a {other_role} set at k = {k or 1}")]
+    wrong = [(_cert(other_role, k or 1, members), f"a {other_role} set at k = {k or 1}")]
     if role is not None:
-        wrong.append((VertexSet(frozenset(members), role, k + 1), f"a {role} set at k = {k + 1}"))
-        wrong.append((SignedFunction.from_minus_set(g.n, members), "a sign assignment"))
+        wrong.append((_cert(role, k + 1, members), f"a {role} set at k = {k + 1}"))
+        wrong.append((_cert(None, None, members), "a sign assignment"))
     for cert, got in wrong:
         assert check(g, name, value, cert, role, k) == f"{name} = {value} has a certificate for {got}, not for {want}"

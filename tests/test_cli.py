@@ -11,6 +11,7 @@ import signeddom.audit as audit_mod
 import signeddom.cli as cli_mod
 from signeddom import BoundViolation, audit_graph, cycle_graph, parse_graph, path_graph, serialize_graph, verify_sdf
 from signeddom.cli import main
+from signeddom.graphs import mask_of
 from signeddom.solvers import SignedFunction, VertexSet
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -105,13 +106,13 @@ def test_solve_rejects_invalid_subset_witness(tmp_path, capsys, monkeypatch):
     c6.write_text(serialize_graph(cycle_graph(6), "edgelist"))
     # {0} dominates only 5, 0 and 1 of C6.
     monkeypatch.setattr(cli_mod, "domination_number",
-                        lambda g, *a, **k: (1, VertexSet(frozenset({0}), "tuple_dominating", 1)))
+                        lambda g, *a, **k: (1, VertexSet(mask_of({0}), "tuple_dominating", 1)))
     code, out, err = run(capsys, "solve", "--param", "gamma", "--input", str(c6))
     assert code == 1 and out == ""
     assert "error: gamma = 1 has a certificate of size 1 invalid at vertices [2, 3, 4]" in err
     # A valid set whose size is not the value is rejected too.
     monkeypatch.setattr(cli_mod, "packing_number",
-                        lambda g, *a, **k: (3, VertexSet(frozenset({0, 3}), "limited_packing", 1)))
+                        lambda g, *a, **k: (3, VertexSet(mask_of({0, 3}), "limited_packing", 1)))
     code, out, err = run(capsys, "solve", "--param", "rho", "--input", str(c6))
     assert code == 1 and out == ""
     assert "error: rho = 3 has a certificate of size 2 invalid at vertices []" in err
@@ -122,7 +123,7 @@ def test_solve_checks_the_role_and_k_it_asked_for(tmp_path, capsys, monkeypatch)
     c6.write_text(serialize_graph(cycle_graph(6), "edgelist"))
     # {0, 1} is a 2-limited packing of C6, not the packing (k = 1) that rho asks for.
     monkeypatch.setattr(cli_mod, "packing_number",
-                        lambda g, *a, **k: (2, VertexSet(frozenset({0, 1}), "limited_packing", 2)))
+                        lambda g, *a, **k: (2, VertexSet(mask_of({0, 1}), "limited_packing", 2)))
     code, out, err = run(capsys, "solve", "--param", "rho", "--input", str(c6))
     assert code == 1 and out == ""
     assert err == (

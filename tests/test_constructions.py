@@ -19,14 +19,15 @@ from signeddom import (
     verify_sdf,
     vertex_set_violations,
 )
+from signeddom.graphs import mask_of
 
 
 def _lp(members, k=1):
-    return VertexSet(frozenset(members), "limited_packing", k)
+    return VertexSet(mask_of(members), "limited_packing", k)
 
 
 def _td(members, k):
-    return VertexSet(frozenset(members), "tuple_dominating", k)
+    return VertexSet(mask_of(members), "tuple_dominating", k)
 
 
 # -- sdf_from_limited_packing ---------------------------------------------------
@@ -100,7 +101,7 @@ def test_greedy_valid_and_maximal():
             for v in range(g.n):
                 if v in vs.members:
                     continue
-                extended = VertexSet(vs.members | {v}, "limited_packing", k)
+                extended = VertexSet(vs.mask | 1 << v, "limited_packing", k)
                 assert vertex_set_violations(g, extended) != []
 
 
@@ -143,7 +144,7 @@ def test_augment_chain_reaches_level_half_delta():
         if delta < 2:
             continue
         rho, packing = packing_number(g)
-        current = VertexSet(packing.members, "limited_packing", 1)
+        current = VertexSet(packing.mask, "limited_packing", 1)
         for k in range(1, delta // 2):
             current = augment_packing(g, current, k)
             assert len(current.members) == rho + k
@@ -174,7 +175,7 @@ def test_shrink_p2():
     g = Graph(2, [(0, 1)])
     out = shrink_tuple_dominating(g, _td({0, 1}, 2), 2)
     assert out.members == frozenset({1})
-    assert vertex_set_violations(g, VertexSet(out.members, "tuple_dominating", 1)) == []
+    assert vertex_set_violations(g, VertexSet(out.mask, "tuple_dominating", 1)) == []
 
 
 def test_shrink_validation():

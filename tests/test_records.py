@@ -35,19 +35,19 @@ def test_signed_function_masks_and_sets_follow_the_assignment(n):
         minus = {v for v, a in enumerate(assignment) if a == -1}
         assert f.plus_mask == sum(1 << v for v in plus)
         assert f.minus_mask == sum(1 << v for v in minus)
-        assert f.plus_set == frozenset(plus)
-        assert f.minus_set == frozenset(minus)
-        assert f == SignedFunction.from_minus_set(n, minus)
+        assert f == SignedFunction.from_minus_mask(n, sum(1 << v for v in minus))
         assert hash(f) == hash(SignedFunction(tuple(assignment)))
 
 
 def test_certificates_are_frozen():
     f = SignedFunction((1, -1, 1))
-    vs = VertexSet(frozenset({0}), "tuple_dominating", 1)
+    vs = VertexSet(1, "tuple_dominating", 1)
     with pytest.raises(dataclasses.FrozenInstanceError):
         f.assignment = (1, 1, 1)
     with pytest.raises(dataclasses.FrozenInstanceError):
         vs.k = 2
+    # A vertex set stores its mask and nothing else.
+    assert not hasattr(vs, "__dict__")
     # A replaced labeling gets its own mask.
     assert dataclasses.replace(f, assignment=(-1, 1)).plus_mask == 0b10
 

@@ -30,6 +30,7 @@ from signeddom import (
     verify_sdf,
     vertex_set_violations,
 )
+from signeddom.certify import check
 from signeddom.graphs import bits, leaf_first_order, mask_of
 from signeddom.solvers import DegreeOrder, _solve_packing
 
@@ -54,12 +55,24 @@ def _small_corpus():
 def test_signed_function_basics():
     f = SignedFunction((1, -1, 1))
     assert f.weight == 1
-    assert f.plus_set == frozenset({0, 2})
-    assert f.minus_set == frozenset({1})
+    assert f.plus_mask == 0b101
+    assert f.minus_mask == 0b010
     assert str(f) == "+-+"
-    assert SignedFunction.from_minus_set(3, {1}) == f
+    assert SignedFunction.from_minus_mask(3, 0b010) == f
     with pytest.raises(ValueError):
         SignedFunction((1, 0, 1))
+
+
+def test_from_minus_mask_rejects_vertices_outside_the_graph():
+    # A bit at index n or above, or any bit of a negative mask, names no
+    # vertex of the labeling: it is refused, never dropped.
+    assert str(SignedFunction.from_minus_mask(3, 0)) == "+++"
+    assert str(SignedFunction.from_minus_mask(3, 0b111)) == "---"
+    for minus in (1 << 5, 1 << 3, 0b010 | 1 << 3, -1, -2):
+        with pytest.raises(ValueError, match="outside"):
+            SignedFunction.from_minus_mask(3, minus)
+    with pytest.raises(ValueError, match="outside"):
+        SignedFunction.from_minus_mask(0, 1)
 
 
 def test_verify_sdf_p2():
@@ -105,7 +118,7 @@ def test_partition_stats_invariants():
     for g in _small_corpus():
         if g.n == 0:
             continue
-        f = SignedFunction.from_minus_set(g.n, {v for v in range(g.n) if v % 3 == 0})
+        f = SignedFunction.from_minus_mask(g.n, mask_of(v for v in range(g.n) if v % 3 == 0))
         stats = partition_stats(g, f)
         # every edge is inside V+, inside V-, or crossing
         assert stats.e_plus + stats.e_minus + stats.cut == g.m
@@ -776,6 +789,29 @@ def test_value_only_pinned_sets(n, p, sets):
     assert tuple(found) == sets
 
 
+# (solver, name, role, k) for the four subset solvers on the pinned graphs.
+SUBSET_SOLVES = [
+    (domination_number, "gamma", "tuple_dominating", 1),
+    (partial(tuple_domination_number, k=2), "gamma_xk", "tuple_dominating", 2),
+    (partial(limited_packing_number, k=2), "L_k", "limited_packing", 2),
+    (packing_number, "rho", "limited_packing", 1),
+]
+
+
+@pytest.mark.parametrize("n,p", [(n, p) for n, p, _, _ in PINNED_WITNESSES])
+def test_certificates_round_trip_on_pinned_graphs(n, p):
+    # Each solver's mask is its certificate: the size, the members and the
+    # one re-check all read it, lex-least and value-only alike.
+    g = random_connected(n, p, derive_seed(2718, 100 * n + round(10 * p)))
+    for solve, name, role, k in SUBSET_SOLVES:
+        for lex_least in (True, False):
+            value, cert = solve(g, lex_least=lex_least)
+            assert (cert.role, cert.k) == (role, k)
+            assert cert.size == value
+            assert cert.sorted_members() == tuple(bits(cert.mask))
+            assert check(g, name, value, cert, role, k) is None
+
+
 def test_subset_solver_cap():
     with pytest.raises(SizeCapError):
         domination_number(cycle_graph(41))
@@ -792,20 +828,23 @@ def test_subset_solver_cap():
 
 def test_vertex_set_violations_roles():
     g = cycle_graph(6)
-    ok = VertexSet(frozenset({0, 3}), "limited_packing", 1)
+    ok = VertexSet(mask_of({0, 3}), "limited_packing", 1)
     assert vertex_set_violations(g, ok) == []
-    bad = VertexSet(frozenset({0, 1}), "limited_packing", 1)
+    bad = VertexSet(mask_of({0, 1}), "limited_packing", 1)
     assert vertex_set_violations(g, bad) != []
-    assert vertex_set_violations(g, VertexSet(frozenset({0}), "tuple_dominating", 1)) == [2, 3, 4]
+    assert vertex_set_violations(g, VertexSet(mask_of({0}), "tuple_dominating", 1)) == [2, 3, 4]
     # Two kinds only: a dominating set is gamma_x1's, a packing L_1's.
     for role in ("dominating", "packing", "clique"):
         with pytest.raises(ValueError, match="unknown vertex-set role"):
-            vertex_set_violations(g, VertexSet(frozenset(), role, 1))
-    for outside in (9, 6, -1):
+            vertex_set_violations(g, VertexSet(0, role, 1))
+    # A bit at index n or above, or a negative mask, which has infinitely many.
+    for outside in (mask_of({0, 9}), mask_of({0, 6}), 1 << g.n, -1):
         with pytest.raises(ValueError, match="member index outside graph"):
-            vertex_set_violations(g, VertexSet(frozenset({0, outside}), "limited_packing", 1))
+            vertex_set_violations(g, VertexSet(outside, "limited_packing", 1))
+    with pytest.raises(ValueError, match="member index outside graph"):
+        VertexSet(-1, "limited_packing", 1).sorted_members()
     with pytest.raises(TypeError):
-        VertexSet(frozenset({0}), "limited_packing")
+        VertexSet(mask_of({0}), "limited_packing")
 
 
 def test_gamma_and_rho_are_the_k1_results():
