@@ -4,10 +4,8 @@ A sign assignment f is feasible iff every closed neighborhood sums to at
 least 1, i.e. |N[v] ∩ V-| <= floor(deg(v)/2) for every v. So the signed
 domination number, k-limited packings, packings, k-tuple domination and
 domination are all one problem: a largest S with |N[v] ∩ S| <= cap(v) at every
-v. One branch-and-bound kernel, ``_max_packing``, solves it. Besides the
-greedy cover it prunes with the paper's double count (Lemma 3.1, Theorem
-3.2): each member u of S uses one unit of room at every vertex of N[u], so
-the members still to come have |N[u]| summing to at most the room left.
+v. One branch-and-bound kernel, ``_max_packing``, solves it, pruning with
+a greedy cover bound.
 
 Every search runs on the graph relabelled in ascending (degree, index) order
 by a ``DegreeOrder``, and every search, value pass or existence query,
@@ -184,27 +182,25 @@ class DegreeOrder:
     Off a forest, the graph is relabelled in ascending (degree, index)
     order: label i is vertex ``order[i]``, and vertex v has label
     ``label[v]``. ``closed`` holds the closed neighbourhood masks in the new
-    labels, ``nbhd`` the same neighbourhoods as ascending lists, and
-    ``sizes`` their sizes |N[i]|, which ascend with the label. ``drop[u]``
+    labels, ``nbhd`` the same neighbourhoods as ascending lists. ``drop[u]``
     holds u and every neighbour v with N[u] ⊆ N[v]: once a search leaves u
     out of S it may leave those v out too (see ``_max_packing``). Every
     search runs in these labels, value passes and the witness walk's
-    queries (see ``_lex_least``) alike. The degree-sum bound needs them to
-    ascend by degree, and the cover grows each group from its lowest label,
-    so the searches favour low-degree branching vertices.
+    queries (see ``_lex_least``) alike. The cover grows each group from its
+    lowest label, so the searches favour low-degree branching vertices.
 
     On a forest no search runs: ``leaf_first`` holds the greedy's order
     (``graphs.leaf_first_order``), the labels are the graph's own, so
     ``order`` is None and ``label`` the identity, ``closed`` and ``nbhd``
-    are the graph's neighbourhoods, and ``sizes`` and ``drop``, which only
-    the search reads, are None. Off a forest ``leaf_first`` is None.
+    are the graph's neighbourhoods, and ``drop``, which only the search
+    reads, is None. Off a forest ``leaf_first`` is None.
 
     ``_solve_packing`` builds one per graph and keeps the last, so
     consecutive solves on one graph, ``signed_domination`` included, share
     it.
     """
 
-    __slots__ = ("graph", "leaf_first", "order", "label", "closed", "nbhd", "sizes", "drop")
+    __slots__ = ("graph", "leaf_first", "order", "label", "closed", "nbhd", "drop")
 
     def __init__(self, g: Graph):
         self.graph = g
@@ -218,7 +214,7 @@ class DegreeOrder:
             self.label = range(g.n)
             self.closed = g.closed
             self.nbhd = nbhd
-            self.sizes = self.drop = None
+            self.drop = None
             return
         # sorted is stable, so equal degrees keep ascending index order.
         order = sorted(range(g.n), key=g.deg.__getitem__)
@@ -244,7 +240,6 @@ class DegreeOrder:
         self.label = label
         self.closed = closed
         self.nbhd = nbhd
-        self.sizes = [len(row) for row in nbhd]
         self.drop = drop
 
 
@@ -322,7 +317,7 @@ def _solve_packing(g: Graph, cap, lex_least: bool, least_complement: bool = Fals
         return 0, 0
     size, s = _max_packing(relabel, room, avail)
     if lex_least:
-        s = _lex_least(relabel, room, size, s, least_complement)
+        s = _lex_least(relabel, room, avail, size, s, least_complement)
     if order is None:
         return size, s
     mask = 0
@@ -340,11 +335,12 @@ def _open_mask(closed, room) -> int:
     return avail
 
 
-def _lex_least(relabel: DegreeOrder, cap, size: int, witness: int, least_complement: bool) -> int:
+def _lex_least(relabel: DegreeOrder, cap, avail: int, size: int, witness: int, least_complement: bool) -> int:
     """The lexicographically least optimal S in index order, in ``relabel``'s labels.
 
-    ``cap`` holds the caps in those labels, and ``witness`` is an optimal set
-    of ``size`` members. The walk decides the vertices in ascending index
+    ``cap`` holds the caps in those labels, ``avail`` the vertices open under
+    them (``_open_mask``), and ``witness`` is an optimal set of ``size``
+    members. The walk decides the vertices in ascending index
     order, each in S (or, with ``least_complement``, out of S) when some
     optimal set agrees with the decided prefix and that choice. ``witness``
     is always such a set: where it already makes the preferred choice it
@@ -364,7 +360,6 @@ def _lex_least(relabel: DegreeOrder, cap, size: int, witness: int, least_complem
     """
     closed, nbhd = relabel.closed, relabel.nbhd
     room = list(cap)
-    avail = _open_mask(closed, room)
     undecided = (1 << len(closed)) - 1
     members = 0
     for i in relabel.label:
@@ -427,20 +422,10 @@ def _max_packing(relabel: DegreeOrder, room, avail: int, target=None):
     vertices whose closed neighbourhood has no full vertex (room 0); only
     those can still join S, so the caller removes every closed neighbourhood
     of a full vertex from it. A node dies when ``size + |avail|`` cannot beat
-    the incumbent, or else when the degree-sum bound cannot, or else when a
-    greedy cover cannot. The degree-sum bound is the paper's double count: a
-    member u uses one unit of room at each vertex of N[u], so the members
-    still to come have sizes |N[u]| that sum to at most ``spare``, the total
-    room left (the sum of the rooms at the root, less |N[w]| in w's
-    in-branch). To beat the incumbent a node needs ``best - size + 1`` more,
-    and the lightest that many are the lowest available labels, since sizes
-    ascend with the label; the node dies when their sizes sum past
-    ``spare``. The sizes of the highest and the lowest available label
-    bracket that sum, so the sum is taken only between them. The cover
-    splits ``avail`` into groups N[u] & rest, one centre u per group, each
-    grown from the lowest vertex w of rest, and at most room[u] of a group
-    can join S; it stops at the group that takes the bound past the
-    incumbent. A node that needs one more member skips it, since there the
+    the incumbent, or else when a greedy cover cannot. The cover splits
+    ``avail`` into groups N[u] & rest, one centre u per group, each grown
+    from the lowest vertex w of rest, and at most room[u] of a group can
+    join S; it stops at the group that takes the bound past the incumbent. A node that needs one more member skips it, since there the
     first group always passes. Every node branches on that last group's w,
     where the bound breaks (the lowest available label when the cover did
     not run).
@@ -448,8 +433,8 @@ def _max_packing(relabel: DegreeOrder, room, avail: int, target=None):
     Leaving w out of S also leaves out every undecided v with N[w] ⊆ N[v]
     (``relabel.drop``): for a set S there with v, S - v + w has the same size,
     is feasible, and lies in w's in-branch, which was searched first. This
-    holds for any branching vertex w, as do the in/out split and both
-    bounds, so every pruned subtree holds no set that beats what was found
+    holds for any branching vertex w, as do the in/out split and the cover
+    bound, so every pruned subtree holds no set that beats what was found
     before it, and every search is exact.
 
     With ``target=None`` the search keeps the first optimum it reaches. With a
@@ -467,7 +452,6 @@ def _max_packing(relabel: DegreeOrder, room, avail: int, target=None):
         return _leaf_first_packing(relabel, room, avail, target)
     closed = relabel.closed
     nbhd = relabel.nbhd
-    sizes = relabel.sizes
     drop = relabel.drop
     # Below any |N[u] & rest| - room[u]: a group holds at least the vertex w it covers.
     floor = -max(room, default=0)
@@ -475,7 +459,7 @@ def _max_packing(relabel: DegreeOrder, room, avail: int, target=None):
     witness = 0
     stop = target is not None
 
-    def search(avail: int, size: int, members: int, spare: int, room) -> bool:
+    def search(avail: int, size: int, members: int, room) -> bool:
         # True stops the search: an existence query keeps its first leaf.
         # Each pass of the loop is one node; the out-branch stays in the frame.
         nonlocal best, witness
@@ -486,20 +470,7 @@ def _max_packing(relabel: DegreeOrder, room, avail: int, target=None):
                 best, witness = size, members
                 return stop
             w = (avail & -avail).bit_length() - 1
-            # Degree-sum bound: the need lightest available vertices, the
-            # lowest labels, must fit their |N[u]| into the spare room.
             need = best - size + 1
-            if need > 0 and need * sizes[avail.bit_length() - 1] > spare:
-                if need * sizes[w] > spare:
-                    return False
-                weight = 0
-                rest = avail
-                for _ in range(need):
-                    b = rest & -rest
-                    weight += sizes[b.bit_length() - 1]
-                    rest ^= b
-                if weight > spare:
-                    return False
             # Greedy cover: the centre u in N[w] of the lowest uncovered w
             # with the most |N[u] & rest| - room[u] (the first on ties).
             # Below a need of 2 the first group, grown from the lowest
@@ -534,12 +505,12 @@ def _max_packing(relabel: DegreeOrder, room, avail: int, target=None):
                 inner[u] -= 1
                 if not inner[u]:
                     blocked |= closed[u]
-            if search(avail & ~blocked, size + 1, members | bit, spare - sizes[w], inner):
+            if search(avail & ~blocked, size + 1, members | bit, inner):
                 return True
             avail &= ~drop[w]
 
     try:
-        search(avail, 0, 0, sum(room), room)
+        search(avail, 0, 0, room)
     finally:
         # search refers to itself through its closure cell; clearing the cell
         # frees it at once instead of leaving a cycle to the garbage collector.

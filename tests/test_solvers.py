@@ -262,27 +262,32 @@ def test_dense_graphs_match_brute_force(n):
     # Dense graphs are where the kernel's greedy cover bound prunes: every
     # value and lex-least witness must still be the brute-force one.
     for p in (0.7, 0.9):
-        g = random_connected(n, p, derive_seed(4242, 10 * n + round(10 * p)))
-        value, witness = signed_domination(g)
-        assert (value, witness) == signed_domination(g, "oracle")
-        bv, bs = oracles.brute_min_tuple_dominating(g, 1)
-        value, witness = domination_number(g)
-        assert (value, witness.sorted_members()) == (bv, bs)
-        _check_value_only(g, bv, domination_number(g, lex_least=False))
-        for k in range(1, min(g.deg) + 2):
-            bv, bs = oracles.brute_min_tuple_dominating(g, k)
-            value, witness = tuple_domination_number(g, k)
-            assert (value, witness.sorted_members()) == (bv, bs), (p, k)
-            _check_value_only(g, bv, tuple_domination_number(g, k, lex_least=False))
-        for k in range(1, max(g.deg) // 2 + 2):
-            bv, bs = oracles.brute_max_limited_packing(g, k)
-            value, witness = limited_packing_number(g, k)
-            assert (value, witness.sorted_members()) == (bv, bs), (p, k)
-            _check_value_only(g, bv, limited_packing_number(g, k, lex_least=False))
-        bv, bs = oracles.brute_max_packing(g)
-        value, witness = packing_number(g)
-        assert (value, witness.sorted_members()) == (bv, bs)
-        _check_value_only(g, bv, packing_number(g, lex_least=False))
+        _check_five_parameters(random_connected(n, p, derive_seed(4242, 10 * n + round(10 * p))))
+
+
+def _check_five_parameters(g):
+    # All five parameters against the oracle route and brute force: values
+    # and lex-least witnesses, and the value-only sets for validity.
+    value, witness = signed_domination(g)
+    assert (value, witness) == signed_domination(g, "oracle")
+    bv, bs = oracles.brute_min_tuple_dominating(g, 1)
+    value, witness = domination_number(g)
+    assert (value, witness.sorted_members()) == (bv, bs)
+    _check_value_only(g, bv, domination_number(g, lex_least=False))
+    for k in range(1, min(g.deg) + 2):
+        bv, bs = oracles.brute_min_tuple_dominating(g, k)
+        value, witness = tuple_domination_number(g, k)
+        assert (value, witness.sorted_members()) == (bv, bs), k
+        _check_value_only(g, bv, tuple_domination_number(g, k, lex_least=False))
+    for k in range(1, max(g.deg) // 2 + 2):
+        bv, bs = oracles.brute_max_limited_packing(g, k)
+        value, witness = limited_packing_number(g, k)
+        assert (value, witness.sorted_members()) == (bv, bs), k
+        _check_value_only(g, bv, limited_packing_number(g, k, lex_least=False))
+    bv, bs = oracles.brute_max_packing(g)
+    value, witness = packing_number(g)
+    assert (value, witness.sorted_members()) == (bv, bs)
+    _check_value_only(g, bv, packing_number(g, lex_least=False))
 
 
 def _check_value_only(g, expected, result):
@@ -435,8 +440,8 @@ def _brute_lex_least(g, cap):
 def test_witness_walk_matches_both_lex_orders(k):
     # Caps deg + 1 - k (S is the complement of a k-tuple dominating set) and
     # floor(deg / 2) (S is V-): the two lex orders pick different optimal sets.
-    # Seeded caps in 0..deg+1 give uneven room totals and rooms of 0 at the
-    # root, where the degree-sum bound starts from fewer units than the caps.
+    # Seeded caps in 0..deg+1 give uneven rooms, and rooms of 0 that close
+    # whole neighbourhoods before the walk starts.
     for i in range(6):
         g = random_connected(9, 0.5, derive_seed(515, i))
         rng = random.Random(derive_seed(516, 10 * k + i))
@@ -527,6 +532,41 @@ def test_dominance_keeps_values_and_witnesses(name):
         assert _solve_packing(g, cap, True, least_complement=True) == (best, least_complement)
 
 
+def _circulant(n, *jumps):
+    return Graph(n, sorted({tuple(sorted((i, (i + j) % n))) for i in range(n) for j in jumps}))
+
+
+def _generalized_petersen(n, k):
+    # The cycle 0..n-1, the inner vertices n..2n-1 joined i to i + k, and the spokes.
+    outer = [(i, (i + 1) % n) for i in range(n)]
+    inner = [(n + i, n + (i + k) % n) for i in range(n)]
+    return Graph(2 * n, outer + inner + [(i, n + i) for i in range(n)])
+
+
+UNIFORM_DEGREE_GRAPHS = {
+    "Petersen": _generalized_petersen(5, 2),
+    "Q3": Graph(8, [(v, v | b) for v in range(8) for b in (1, 2, 4) if not v & b]),
+    "prism_6": _generalized_petersen(6, 1),
+    "K_3_3": _complete_multipartite(3, 3),
+    "C12(1,3)": _circulant(12, 1, 3),
+    "C13(1,5)": _circulant(13, 1, 5),
+}
+
+
+@pytest.mark.parametrize("name", UNIFORM_DEGREE_GRAPHS)
+def test_uniform_degree_graphs_match_brute_force(name):
+    # One degree throughout: the degree order is the identity, and every
+    # |N[u]| and every cap tie, so the cover's centre choices at the root are
+    # ties broken by label alone.
+    g = UNIFORM_DEGREE_GRAPHS[name]
+    assert len(set(g.deg)) == 1
+    relabel = DegreeOrder(g)
+    assert relabel.leaf_first is None and relabel.order == list(range(g.n))
+    value, witness = signed_domination(g)
+    assert (value, witness.assignment) == oracles.brute_signed_domination(g)
+    _check_five_parameters(g)
+
+
 def test_kernel_matches_subset_enumeration_and_only_reads_room(monkeypatch):
     # Random rooms in 0..deg+1 over a random open set, in the degree order,
     # forests included once their detection answers None: the value, a
@@ -541,12 +581,12 @@ def test_kernel_matches_subset_enumeration_and_only_reads_room(monkeypatch):
         if k < 300:
             n = rng.randint(1, 9)
             relabel = DegreeOrder(random_connected(n, rng.choice((0.3, 0.5, 0.8)), rng.getrandbits(32)))
-            room = [rng.randint(0, size) for size in relabel.sizes]
+            room = [rng.randint(0, len(row)) for row in relabel.nbhd]
             avail = rng.getrandbits(n)
         else:
             n = rng.randint(10, 13)
             relabel = DegreeOrder(random_connected(n, rng.choice((0.3, 0.5, 0.7, 0.9)), rng.getrandbits(32)))
-            room = [rng.randint(0, size) if rng.random() < 0.1 else rng.randint(1, size) for size in relabel.sizes]
+            room = [rng.randint(0, len(row)) if rng.random() < 0.1 else rng.randint(1, len(row)) for row in relabel.nbhd]
             avail = rng.getrandbits(n) | rng.getrandbits(n)
         closed = relabel.closed
         before = list(room)
@@ -758,10 +798,10 @@ def test_lex_least_pinned_sets(n, p, sets):
 
 
 # The value-only sets (lex_least=False) on the graphs of PINNED_WITNESSES:
-# (n, p, (gamma, gamma_x2, L_2, rho) sets), frozen before the degree-sum bound
-# joined the kernel. Each is the first optimum the kernel reaches, which
-# depends on where it branches, and so on every bound that moves where the
-# cover breaks: these pin the kernel's behaviour, not a contract.
+# (n, p, (gamma, gamma_x2, L_2, rho) sets). Each is the first optimum the
+# kernel reaches, which depends on where it branches, and so on every bound
+# that moves where the cover breaks: these pin the kernel's behaviour, not a
+# contract.
 PINNED_VALUE_ONLY_SETS = [
     (22, 0.3, ("2 3 16 19", "0 2 3 5 15 16 19", "1 7 8 11 17 20", "8 20 21")),
     (22, 0.9, ("19", "5 19", "2 9", "2")),
