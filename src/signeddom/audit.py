@@ -293,9 +293,9 @@ def audit_graph(g: Graph, graph_id: str | None = None) -> BoundReport:
     solvers run before the graph6 encoding, so it never sees such a graph.
 
     Every solve runs back to back on g, so all of them, the chain checks
-    included, share the solvers' one ``DegreeOrder`` of g: its degree-order
-    relabelling, or on a forest its leaf-first order. The
-    report carries subset values only, so those run with ``lex_least=False``.
+    included, share the solvers' one packing route of g: its degree-order
+    search, or on a forest its leaf-first greedy. The report carries subset
+    values only, so those run with ``lex_least=False``.
     At delta // 2 == 1, L_k is rho = L_1 and takes its value and set. Each
     of the five values is re-checked against its certificate by
     ``certify.check``, with the role and k the audit asked for; a failed

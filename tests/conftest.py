@@ -10,16 +10,15 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 
 @pytest.fixture
-def degree_order_builds(monkeypatch):
-    """The graphs the solvers build a DegreeOrder for, in build order."""
+def route_builds(monkeypatch):
+    """(route class name, graph) for every route the solvers build, in build order."""
     built = []
+    for route in (solvers.SearchRoute, solvers.ForestRoute):
 
-    class Counted(solvers.DegreeOrder):
-        __slots__ = ()
+        def __init__(self, g, *args, route=route):
+            built.append((type(self).__name__, g))
+            route.__init__(self, g, *args)
 
-        def __init__(self, g):
-            built.append(g)
-            super().__init__(g)
-
-    monkeypatch.setattr(solvers, "DegreeOrder", Counted)
+        counted = type(route.__name__, (route,), {"__slots__": (), "__init__": __init__})
+        monkeypatch.setattr(solvers, route.__name__, counted)
     return built

@@ -402,20 +402,20 @@ def test_gamma_s_off_its_witness_aborts(monkeypatch):
         audit_graph(cycle_graph(6), "C6")
 
 
-def test_audit_builds_one_degree_order_per_graph(degree_order_builds):
+def test_audit_builds_one_route_per_graph(route_builds):
     chained = random_connected(10, 0.5, derive_seed(5, 10))
     assert audit_graph(chained).checks["chain_tuple"] is True
-    assert degree_order_builds == [chained]
+    assert route_builds == [("SearchRoute", chained)]
     tree = star_graph(5)
     assert structural_profile(tree).delta_star is None
     audit_graph(tree)
-    assert degree_order_builds == [chained, tree]
-    degree_order_builds.clear()
+    assert route_builds == [("SearchRoute", chained), ("ForestRoute", tree)]
+    route_builds.clear()
     spec = CorpusSpec(kind="trees_exhaustive", n_min=2, n_max=5)
     summary = audit_corpus(spec)
     trees = [g for _, g in iter_corpus(spec)]
     assert len(trees) == summary["graphs"] == 145
-    assert degree_order_builds == trees
+    assert route_builds == [("ForestRoute", g) for g in trees]
 
 
 def test_invalid_subset_certificate_aborts_in_a_pool(monkeypatch):

@@ -32,7 +32,7 @@ from signeddom import (
 )
 from signeddom.certify import check
 from signeddom.graphs import bits, leaf_first_order, mask_of
-from signeddom.solvers import DegreeOrder, _solve_packing
+from signeddom.solvers import ForestRoute, SearchRoute, _route, _solve_packing
 
 
 def _small_corpus():
@@ -345,7 +345,7 @@ def test_value_only_sets_follow_the_degree_order():
     # {0, 1} and the first optimum is S = {0}, so the value-only D is
     # {1, 2, 3}, where the least is {0, 2, 3}.
     g = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-    assert DegreeOrder(g).order == [3, 0, 1, 2]
+    assert type(_route(g)) is SearchRoute and _route(g).order == [3, 0, 1, 2]
     assert packing_number(g)[1].sorted_members() == (0,)
     assert packing_number(g, lex_least=False)[1].sorted_members() == (3,)
     assert tuple_domination_number(g, 2)[1].sorted_members() == (0, 2, 3)
@@ -353,7 +353,7 @@ def test_value_only_sets_follow_the_degree_order():
     # The house: square 0-1-2-3 with roof 4 on 2 and 3. The degree-2 vertices
     # come first, so S takes 0, 1 and 4 where it can.
     g = Graph(5, [(0, 1), (0, 3), (1, 2), (2, 3), (2, 4), (3, 4)])
-    assert DegreeOrder(g).order == [0, 1, 4, 2, 3]
+    assert type(_route(g)) is SearchRoute and _route(g).order == [0, 1, 4, 2, 3]
     assert domination_number(g)[1].sorted_members() == (0, 2)
     assert domination_number(g, lex_least=False)[1].sorted_members() == (2, 3)
     assert tuple_domination_number(g, 2)[1].sorted_members() == (0, 2, 3)
@@ -364,7 +364,7 @@ def test_value_only_sets_follow_the_degree_order():
     # is {0, 1, 3}.
     g = path_graph(4)
     assert leaf_first_order(g) == [3, 2, 1, 0]
-    assert DegreeOrder(g).order is None
+    assert type(_route(g)) is ForestRoute
     assert domination_number(g, lex_least=False)[1].sorted_members() == (0, 2)
     assert packing_number(g, lex_least=False)[1].sorted_members() == (0, 3)
     assert limited_packing_number(g, 2)[1].sorted_members() == (0, 1, 3)
@@ -387,7 +387,7 @@ SOLVES = (
 
 def test_interleaved_solves_match_fresh_ones(monkeypatch):
     # Two graphs with the same n and different edges, and an equal copy of
-    # the first: the relabelling kept for one must never serve another.
+    # the first: the route kept for one must never serve another.
     g = random_connected(10, 0.5, derive_seed(31, 10))
     h = random_connected(10, 0.5, derive_seed(31, 11))
     copy = Graph(g.n, g.edges)
@@ -396,7 +396,7 @@ def test_interleaved_solves_match_fresh_ones(monkeypatch):
     fresh = {}
     for x in (g, h, copy):
         for i, solve in enumerate(SOLVES):
-            monkeypatch.setattr(solvers, "_last_order", None)
+            monkeypatch.setattr(solvers, "_last_route", None)
             fresh[id(x), i] = solve(x)
     for x in (g, copy, g, h, h, copy, g):
         for i, solve in enumerate(SOLVES):
@@ -406,18 +406,32 @@ def test_interleaved_solves_match_fresh_ones(monkeypatch):
             assert solve(x) == fresh[id(x), i], i
 
 
-def test_degree_order_is_built_once_per_graph(degree_order_builds):
+def test_route_is_built_once_per_graph(route_builds):
     g = random_connected(9, 0.5, derive_seed(8, 9))
     for solve in SOLVES:
         solve(g)
-    assert degree_order_builds == [g]
+    assert route_builds == [("SearchRoute", g)]
     copy = Graph(g.n, g.edges)
     domination_number(copy)
-    assert degree_order_builds == [g, copy] and degree_order_builds[1] is copy
-    # The size cap is checked before anything is built.
+    assert route_builds == [("SearchRoute", g), ("SearchRoute", copy)] and route_builds[1][1] is copy
+    # A tree gets one ForestRoute, shared by every solve. A forest with a
+    # triangle component has a cycle, so it gets a SearchRoute.
+    tree = random_tree(9, derive_seed(8, 10))
+    for solve in SOLVES:
+        solve(tree)
+    assert route_builds[2:] == [("ForestRoute", tree)]
+    path_and_triangle = Graph(7, [(0, 1), (1, 2), (2, 6), (3, 4), (3, 5), (4, 5)])
+    domination_number(path_and_triangle)
+    assert route_builds[3:] == [("SearchRoute", path_and_triangle)]
+    # The size cap is checked before anything is built, for both routes: a
+    # 41-vertex path is a tree, and none of the five solvers builds its
+    # ForestRoute.
     with pytest.raises(SizeCapError, match="capped"):
         domination_number(cycle_graph(41))
-    assert len(degree_order_builds) == 2
+    for solve in SOLVES:
+        with pytest.raises(SizeCapError, match="capped at n <= 40"):
+            solve(path_graph(41))
+    assert len(route_builds) == 4
 
 
 def _brute_lex_least(g, cap):
@@ -460,17 +474,20 @@ def test_witness_walk_swaps_instead_of_asking(monkeypatch):
     # On the n = 9 graph the swap saves two. On P5 the leaf-first greedy
     # finds W = {1, 4}, and the walk reaches the least set {0, 3} by two swaps.
     calls = []
-    kernel = solvers._max_packing
 
-    def counted(relabel, room, avail, target=None):
-        calls.append(target)
-        return kernel(relabel, room, avail, target)
+    def counted(max_packing):
+        def counting(route, room, avail, target=None):
+            calls.append(target)
+            return max_packing(route, room, avail, target)
+
+        return counting
 
     paw = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     g9 = random_connected(9, 0.5, derive_seed(515, 1))
     assert _solve_packing(paw, [1] * 4, False) == (1, mask_of({3}))
     assert _solve_packing(path_graph(5), [1] * 5, False) == (2, mask_of({1, 4}))
-    monkeypatch.setattr(solvers, "_max_packing", counted)
+    for route in (SearchRoute, ForestRoute):
+        monkeypatch.setattr(route, "max_packing", counted(route.max_packing))
     for g, cap in ((paw, [1] * 4), (g9, [d // 2 for d in g9.deg]), (path_graph(5), [1] * 5)):
         best, least, _ = _brute_lex_least(g, cap)
         calls.clear()
@@ -510,9 +527,9 @@ def test_dominance_keeps_values_and_witnesses(name):
     # lex-least witnesses must stay the brute-force ones where that fires.
     # Every graph here has a cycle, so the kernel, not the greedy, serves it.
     g = DOMINANCE_GRAPHS[name]
-    relabel = DegreeOrder(g)
-    assert relabel.leaf_first is None
-    nested = sum((d & ~(1 << i)).bit_count() for i, d in enumerate(relabel.drop))
+    route = _route(g)
+    assert type(route) is SearchRoute
+    nested = sum((d & ~(1 << i)).bit_count() for i, d in enumerate(route.drop))
     assert (nested == 0) == (name == "K_2_2_3")
     assert signed_domination(g) == signed_domination(g, "oracle")
     assert signed_domination(g)[1].assignment == oracles.brute_signed_domination(g)[1]
@@ -560,35 +577,34 @@ def test_uniform_degree_graphs_match_brute_force(name):
     # ties broken by label alone.
     g = UNIFORM_DEGREE_GRAPHS[name]
     assert len(set(g.deg)) == 1
-    relabel = DegreeOrder(g)
-    assert relabel.leaf_first is None and relabel.order == list(range(g.n))
+    route = _route(g)
+    assert type(route) is SearchRoute and route.order == list(range(g.n))
     value, witness = signed_domination(g)
     assert (value, witness.assignment) == oracles.brute_signed_domination(g)
     _check_five_parameters(g)
 
 
-def test_kernel_matches_subset_enumeration_and_only_reads_room(monkeypatch):
+def test_kernel_matches_subset_enumeration_and_only_reads_room():
     # Random rooms in 0..deg+1 over a random open set, in the degree order,
-    # forests included once their detection answers None: the value, a
+    # forests included, since the SearchRoute is built directly: the value, a
     # feasible set, existence queries on both sides of the optimum, and the
     # caller's rooms as they were. The last 200 graphs are larger and denser,
     # with few rooms of 0 and most open vertices available, so that covers
     # span several groups and the queries branch above the lowest available
     # vertex.
-    monkeypatch.setattr(solvers, "leaf_first_order", lambda g: None)
     rng = random.Random(derive_seed(521, 0))
     for k in range(500):
         if k < 300:
             n = rng.randint(1, 9)
-            relabel = DegreeOrder(random_connected(n, rng.choice((0.3, 0.5, 0.8)), rng.getrandbits(32)))
-            room = [rng.randint(0, len(row)) for row in relabel.nbhd]
+            route = SearchRoute(random_connected(n, rng.choice((0.3, 0.5, 0.8)), rng.getrandbits(32)))
+            room = [rng.randint(0, len(row)) for row in route.nbhd]
             avail = rng.getrandbits(n)
         else:
             n = rng.randint(10, 13)
-            relabel = DegreeOrder(random_connected(n, rng.choice((0.3, 0.5, 0.7, 0.9)), rng.getrandbits(32)))
-            room = [rng.randint(0, len(row)) if rng.random() < 0.1 else rng.randint(1, len(row)) for row in relabel.nbhd]
+            route = SearchRoute(random_connected(n, rng.choice((0.3, 0.5, 0.7, 0.9)), rng.getrandbits(32)))
+            room = [rng.randint(0, len(row)) if rng.random() < 0.1 else rng.randint(1, len(row)) for row in route.nbhd]
             avail = rng.getrandbits(n) | rng.getrandbits(n)
-        closed = relabel.closed
+        closed = route.closed
         before = list(room)
         avail &= solvers._open_mask(closed, room)
 
@@ -600,10 +616,10 @@ def test_kernel_matches_subset_enumeration_and_only_reads_room(monkeypatch):
             if sub.bit_count() > opt and feasible(sub):
                 opt = sub.bit_count()
             sub = (sub - 1) & avail
-        size, s = solvers._max_packing(relabel, room, avail)
+        size, s = route.max_packing(room, avail)
         assert size == opt == s.bit_count() and feasible(s)
         for target in range(max(opt - 2, 0), opt + 2):
-            found, t = solvers._max_packing(relabel, room, avail, target)
+            found, t = route.max_packing(room, avail, target)
             if opt >= target:
                 assert found == t.bit_count() >= target and feasible(t)
             else:
@@ -611,11 +627,10 @@ def test_kernel_matches_subset_enumeration_and_only_reads_room(monkeypatch):
         assert room == before
 
 
-def test_drop_masks_hold_the_nesting_neighbours(monkeypatch):
+def test_drop_masks_hold_the_nesting_neighbours():
     # drop[u] is {v in N[u] : N[u] ⊆ N[v]}, checked in the graph's own labels
     # on random graphs given twins (N[t] = N[u]) and vertices nested in a
-    # neighbour (N[x] ⊆ N[u]).
-    monkeypatch.setattr(solvers, "leaf_first_order", lambda g: None)
+    # neighbour (N[x] ⊆ N[u]), forests included.
     rng = random.Random(derive_seed(523, 0))
     for _ in range(100):
         base = random_connected(rng.randint(2, 9), rng.choice((0.3, 0.5, 0.8)), rng.getrandbits(32))
@@ -630,34 +645,42 @@ def test_drop_masks_hold_the_nesting_neighbours(monkeypatch):
                 adj[v].add(len(adj) - 1)
         n = len(adj)
         g = Graph(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
-        relabel = DegreeOrder(g)
+        route = SearchRoute(g)
         for u in range(n):
             nested = {v for v in bits(g.closed[u]) if not g.closed[u] & ~g.closed[v]}
-            assert {relabel.order[i] for i in bits(relabel.drop[relabel.label[u]])} == nested
+            assert {route.order[i] for i in bits(route.drop[route.label[u]])} == nested
 
 
 def test_witness_walk_rejects_an_inconsistent_search(monkeypatch):
-    # A kernel whose existence queries answer "yes" with no members leads
+    # A route whose existence queries answer "yes" with no members leads
     # the walk to a set short of the optimum; one that overstates the value
     # pass's optimum leaves the walk short of it too. Both raise.
-    kernel = solvers._max_packing
+    def always_yes(max_packing):
+        def answer(route, room, avail, target=None):
+            if target is None:
+                return max_packing(route, room, avail)
+            return target, 0
 
-    def always_yes(relabel, room, avail, target=None):
-        if target is None:
-            return kernel(relabel, room, avail)
-        return target, 0
+        return answer
 
-    def overstated(relabel, room, avail, target=None):
-        size, s = kernel(relabel, room, avail, target)
-        return (size + 1, s) if target is None else (size, s)
+    def overstated(max_packing):
+        def answer(route, room, avail, target=None):
+            size, s = max_packing(route, room, avail, target)
+            return (size + 1, s) if target is None else (size, s)
 
+        return answer
+
+    routes = {route: route.max_packing for route in (SearchRoute, ForestRoute)}
     g = random_connected(9, 0.5, derive_seed(515, 0))
-    monkeypatch.setattr(solvers, "_max_packing", always_yes)
-    with pytest.raises(RuntimeError, match="search inconsistency"):
-        domination_number(g)
-    monkeypatch.setattr(solvers, "_max_packing", overstated)
-    # P9 is a tree with a core, so the leaf-first greedy answers every query
+    # P9 is a tree with a core, so the ForestRoute answers every query
     # there, signed_domination's included; the walk checks it all the same.
+    for route, max_packing in routes.items():
+        monkeypatch.setattr(route, "max_packing", always_yes(max_packing))
+    for x in (g, path_graph(9)):
+        with pytest.raises(RuntimeError, match="search inconsistency"):
+            domination_number(x)
+    for route, max_packing in routes.items():
+        monkeypatch.setattr(route, "max_packing", overstated(max_packing))
     for solve in (signed_domination, domination_number, packing_number):
         for x in (g, path_graph(9)):
             with pytest.raises(RuntimeError, match="search inconsistency"):
@@ -684,7 +707,7 @@ def test_leaf_first_greedy_matches_brute_force_on_every_small_tree():
     for n in range(2, 7):
         for g in enumerate_labeled_trees(n):
             trees += 1
-            assert DegreeOrder(g).leaf_first is not None
+            assert type(_route(g)) is ForestRoute
             for cap in _forest_caps(g, rng):
                 best, least, least_complement = _brute_lex_least(g, cap)
                 size, s = _solve_packing(g, cap, False)
@@ -711,8 +734,9 @@ def _random_forest(rng):
 
 
 def test_leaf_first_greedy_matches_the_kernel_on_random_forests(monkeypatch):
-    # Random rooms over a random available set, and whole solves. The kernel
-    # serves a forest too once the forest detection answers None.
+    # Random rooms over a random available set, given to a ForestRoute and a
+    # SearchRoute built on each forest, each in its own labels; then whole
+    # solves, which the kernel serves once the forest detection answers None.
     rng = random.Random(derive_seed(518, 0))
     forests = [_random_forest(rng) for _ in range(400)]
     assert sum(1 for g in forests if min(g.deg) == 0 and g.m) > 20
@@ -721,25 +745,24 @@ def test_leaf_first_greedy_matches_the_kernel_on_random_forests(monkeypatch):
         room = [rng.randint(0, d + 1) for d in g.deg]
         avail = rng.getrandbits(g.n) & solvers._open_mask(g.closed, room)
         cap = rng.choice(_forest_caps(g, rng))
-        greedy = DegreeOrder(g)
-        assert greedy.leaf_first is not None
-        size, s = solvers._max_packing(greedy, room, avail)
+        greedy = ForestRoute(g, leaf_first_order(g))
+        size, s = greedy.max_packing(room, avail)
         assert s & ~avail == 0 and size == s.bit_count()
-        assert all((c & s).bit_count() <= room[v] for v, c in enumerate(g.closed))
-        assert solvers._max_packing(greedy, room, avail, size) == (size, s)
-        assert solvers._max_packing(greedy, room, avail, size + 1) == (size, 0)
+        assert all((c & s).bit_count() <= room[v] for v, c in enumerate(greedy.closed))
+        assert greedy.max_packing(room, avail, size) == (size, s)
+        assert greedy.max_packing(room, avail, size + 1) == (size, 0)
+        kernel = SearchRoute(g)
+        room_k = [room[v] for v in kernel.order]
+        avail_k = mask_of(kernel.label[v] for v in bits(avail))
+        assert kernel.max_packing(room_k, avail_k)[0] == size
         value_only = _solve_packing(g, cap, False)
         assert all((c & value_only[1]).bit_count() <= cap[v] for v, c in enumerate(g.closed))
         solves = (value_only[0], _solve_packing(g, cap, True), _solve_packing(g, cap, True, True))
-        cases.append((g, room, avail, cap, size, solves))
+        cases.append((g, cap, solves))
     monkeypatch.setattr(solvers, "leaf_first_order", lambda g: None)
-    monkeypatch.setattr(solvers, "_last_order", None)
-    for g, room, avail, cap, size, solves in cases:
-        kernel = DegreeOrder(g)
-        assert kernel.leaf_first is None
-        room_k = [room[v] for v in kernel.order]
-        avail_k = mask_of(kernel.label[v] for v in bits(avail))
-        assert solvers._max_packing(kernel, room_k, avail_k)[0] == size
+    monkeypatch.setattr(solvers, "_last_route", None)
+    for g, cap, solves in cases:
+        assert type(_route(g)) is SearchRoute
         value_only = _solve_packing(g, cap, False)
         assert (value_only[0], _solve_packing(g, cap, True), _solve_packing(g, cap, True, True)) == solves
 
@@ -969,7 +992,7 @@ def _audit_solves(g):
 def test_repeated_solves_do_not_creep():
     # Garbage cycles and tuples parked in CPython's free lists both show as
     # traced memory that grows with every call while gc is off. The two
-    # graphs alternate, so every call builds its DegreeOrder anew.
+    # graphs alternate, so every call builds its route anew.
     graphs = [random_connected(16, 0.7, derive_seed(7, i)) for i in (16, 17)]
     expected = [_audit_solves(g) for g in graphs]
     gc.collect()
