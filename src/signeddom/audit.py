@@ -41,7 +41,14 @@ from .certify import (
     vertex_set_violations,
 )
 from .codecs import serialize_graph
-from .generate import TREE_ENUM_MAX_N, derive_seed, enumerate_labeled_trees, generate
+from .generate import (
+    TREE_ENUM_MAX_N,
+    derive_seed,
+    enumerate_labeled_trees,
+    generate,
+    require_probability,
+    require_size,
+)
 from .graphs import Graph, StructuralProfile, structural_profile
 from .solvers import (
     BNB_CAP,
@@ -119,6 +126,12 @@ class CorpusSpec:
             raise ValueError(f"n_max {self.n_max} exceeds the solver caps (n <= {BNB_CAP})")
         if self.kind == "trees_exhaustive" and self.n_max > TREE_ENUM_MAX_N:
             raise ValueError(f"trees_exhaustive needs n_max <= {TREE_ENUM_MAX_N}, got {self.n_max}")
+        # The generator's own errors, raised before any report file is opened.
+        # The tree and cycle corpora start at n = 2 and 3 whatever n_min is.
+        if self.kind not in ("trees_exhaustive", "cycle"):
+            require_size(self.kind, self.n_min)
+        if self.kind == "random_connected":
+            require_probability(self.p)
 
 
 @dataclass
@@ -284,11 +297,13 @@ CSV_HEADER = ",".join(
 )
 
 
-def audit_graph(g: Graph, graph_id: str | None = None) -> BoundReport:
+def audit_graph(g: Graph, graph_id: str | None = None, *, bound_rows: dict | None = None) -> BoundReport:
     """Compute exact values, evaluate all bounds, and run the invariant checks.
 
     Disconnected graphs get a report with every bound marked not applicable
     and the invariant checks skipped. Output is deterministic per graph.
+    ``bound_rows`` is a sweep's memo of the bound section (see
+    ``_bound_row``); without it every bound is evaluated.
     Graphs with n > ``BNB_CAP`` raise SizeCapError from the solvers. The
     solvers run before the graph6 encoding, so it never sees such a graph.
 
@@ -353,25 +368,56 @@ def audit_graph(g: Graph, graph_id: str | None = None) -> BoundReport:
         report.checks = {name: None for name in CHECK_ORDER}
         return report
 
-    bound_list = [
+    if bound_rows is None:
+        bounds, sharp = _bound_row(profile, gamma_s, gamma, rho)
+    else:
+        key = (
+            profile.n, profile.delta, profile.Delta, profile.delta_star, profile.leaf_count,
+            profile.support_count, profile.odd_count, profile.is_tree, rho, gamma, gamma_s,
+        )
+        row = bound_rows.get(key)
+        if row is None:
+            if len(bound_rows) >= _BOUND_ROWS_CAP:
+                bound_rows.clear()
+            row = bound_rows[key] = _bound_row(profile, gamma_s, gamma, rho)
+        bounds, sharp = row
+    report.bounds = list(bounds)
+    report.sharp = list(sharp)
+
+    report.checks = _invariant_checks(g, profile, report)
+    return report
+
+
+# Rows a sweep's bound memo holds before it starts over. The 1,441 trees with
+# n <= 6 have 13 distinct rows; random graphs rarely repeat one, so without a
+# cap a long random sweep would keep a row per graph.
+_BOUND_ROWS_CAP = 1024
+
+
+def _bound_row(profile: StructuralProfile, gamma_s: int, gamma: int, rho: int) -> tuple:
+    """The bound section of a connected graph's report: (bounds, sharp), as tuples.
+
+    It reads only the profile fields that bounds.py reads plus rho, gamma and
+    gamma_s, so a sweep keys its memo on those and shares the row, and its
+    read-only Bound records, between graphs that agree on them.
+    """
+    bounds, sharp = [], []
+    for b in (
         ub_packing_min_degree(profile, rho),
         lb_degree_leaves(profile),
         lb_degree_parity(profile),
         lb_max_degree_domination(profile, gamma),
         *tree_lower_bounds(profile),
-    ]
-    for b in bound_list:
+    ):
         if not b.applicable:
-            report.bounds.append((b, None, None))
+            bounds.append((b, None, None))
             continue
         satisfied = b.tightened <= gamma_s if b.kind == LOWER else gamma_s <= b.tightened
         gap = abs(gamma_s - b.tightened)
-        report.bounds.append((b, satisfied, gap))
+        bounds.append((b, satisfied, gap))
         if satisfied and gap == 0:
-            report.sharp.append(b.name)
-
-    report.checks = _invariant_checks(g, profile, report)
-    return report
+            sharp.append(b.name)
+    return tuple(bounds), tuple(sharp)
 
 
 def _invariant_checks(g: Graph, profile: StructuralProfile, report: BoundReport) -> dict:
@@ -481,7 +527,8 @@ POOL_CHUNK = 64
 
 
 def _audit_chunk(items: list) -> list:
-    return [audit_graph(g, graph_id) for graph_id, g in items]
+    bound_rows = {}
+    return [audit_graph(g, graph_id, bound_rows=bound_rows) for graph_id, g in items]
 
 
 def _pool_reports(pool, items, window: int):
@@ -507,6 +554,11 @@ def _checked_reports(spec: CorpusSpec, jobs: int = 1):
     ``min(jobs, os.cpu_count())`` processes, which may all start at its first
     submit, audits the graphs with twice that many chunks in flight, or the
     sweep runs serially when that is 1. Output is the same.
+
+    The sweep evaluates each distinct bound row once: the serial sweep, and
+    each pool chunk, keep a memo of ``audit_graph``'s bound section. It lives
+    no longer than the sweep, so a bound function patched between two sweeps
+    is called again.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -522,7 +574,8 @@ def _checked_reports(spec: CorpusSpec, jobs: int = 1):
             stack.callback(pool.shutdown, cancel_futures=True)
             reports = _pool_reports(pool, items, 2 * workers)
         else:
-            reports = (audit_graph(g, graph_id) for graph_id, g in items)
+            bound_rows = {}
+            reports = (audit_graph(g, graph_id, bound_rows=bound_rows) for graph_id, g in items)
         for report in reports:
             problems = report.violations()
             if problems:

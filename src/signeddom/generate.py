@@ -20,6 +20,15 @@ TREE_ENUM_MAX_N = 9
 _MASK64 = (1 << 64) - 1
 # Draws random_connected makes before it gives up on a connected sample.
 _RETRY_CAP = 1000
+# The name each sized generator's errors give its graph, and the least n it takes.
+_SIZED = {
+    "complete": ("complete graph", 1),
+    "path": ("path", 1),
+    "cycle": ("cycle", 3),
+    "star": ("star", 1),
+    "random_tree": ("tree", 1),
+    "random_connected": ("random_connected", 1),
+}
 
 
 def derive_seed(master: int, index: int) -> int:
@@ -30,24 +39,35 @@ def derive_seed(master: int, index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+def require_size(kind: str, n: int) -> None:
+    """Raise the ValueError of the ``kind`` generator when it takes no graph on n vertices."""
+    name, least = _SIZED[kind]
+    _require(n >= least, f"{name} needs n >= {least}, got {n}")
+
+
+def require_probability(p: float) -> None:
+    """Raise the ValueError of ``random_connected`` for an edge probability outside (0, 1]."""
+    _require(0.0 < p <= 1.0, f"edge probability must be in (0,1], got {p}")
+
+
 def complete_graph(n: int) -> Graph:
-    _require(n >= 1, f"complete graph needs n >= 1, got {n}")
+    require_size("complete", n)
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def path_graph(n: int) -> Graph:
-    _require(n >= 1, f"path needs n >= 1, got {n}")
+    require_size("path", n)
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
-    _require(n >= 3, f"cycle needs n >= 3, got {n}")
+    require_size("cycle", n)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def star_graph(n: int) -> Graph:
     """Star on n vertices: center 0, leaves 1..n-1."""
-    _require(n >= 1, f"star needs n >= 1, got {n}")
+    require_size("star", n)
     return Graph(n, [(0, i) for i in range(1, n)])
 
 
@@ -88,7 +108,7 @@ def prufer_to_edges(seq, n: int):
 
 def random_tree(n: int, seed: int) -> Graph:
     """Uniformly random labeled tree via a random Pruefer sequence."""
-    _require(n >= 1, f"tree needs n >= 1, got {n}")
+    require_size("random_tree", n)
     if n == 1:
         return Graph(1)
     if n == 2:
@@ -100,8 +120,8 @@ def random_tree(n: int, seed: int) -> Graph:
 
 def random_connected(n: int, p: float, seed: int) -> Graph:
     """G(n, p) conditioned on connectivity by rejection sampling."""
-    _require(n >= 1, f"random_connected needs n >= 1, got {n}")
-    _require(0.0 < p <= 1.0, f"edge probability must be in (0,1], got {p}")
+    require_size("random_connected", n)
+    require_probability(p)
     rng = random.Random(seed)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for _ in range(_RETRY_CAP):

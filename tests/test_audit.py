@@ -195,6 +195,24 @@ def test_corpus_spec_rejects_sizes_beyond_the_cap():
         CorpusSpec("path", 3, 5, bnb_cap=10)
 
 
+def test_corpus_spec_raises_the_generators_errors():
+    # Raised at construction, not at the first graph after the report files are open.
+    for p in (0.0, -0.5, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"edge probability must be in \(0,1\]"):
+            CorpusSpec(kind="random_connected", n_min=5, n_max=6, p=p)
+    CorpusSpec(kind="random_connected", n_min=5, n_max=6, p=1.0)
+    CorpusSpec(kind="path", n_min=5, n_max=6, p=1.5)  # p is read by random_connected only
+    for kind, name in (("complete", "complete graph"), ("path", "path"), ("star", "star"),
+                       ("random_tree", "tree"), ("random_connected", "random_connected")):
+        for n_min in (0, -2):
+            with pytest.raises(ValueError, match=f"^{name} needs n >= 1, got {n_min}$"):
+                CorpusSpec(kind=kind, n_min=n_min, n_max=4)
+        CorpusSpec(kind=kind, n_min=1, n_max=4)
+    # These two corpora start at n = 2 and 3 whatever n_min is.
+    CorpusSpec(kind="trees_exhaustive", n_min=0, n_max=4)
+    CorpusSpec(kind="cycle", n_min=-1, n_max=4)
+
+
 def test_cycle_corpus_starts_at_three():
     # The CLI's default --n-min is 2, below the smallest cycle.
     assert audit_corpus(CorpusSpec("cycle", 2, 5))["graphs"] == 3

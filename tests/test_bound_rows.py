@@ -1,0 +1,92 @@
+"""A sweep's memo of the bound section: exact, and no longer-lived than the sweep.
+
+``audit_graph`` evaluates the seven bounds from a few profile counts plus rho,
+gamma and gamma_s, so a sweep keeps one row per distinct set of those inputs.
+"""
+
+import dataclasses
+
+import pytest
+
+import signeddom.audit as audit_mod
+from signeddom import BoundViolation, CorpusSpec, audit_corpus, audit_graph, iter_corpus, path_graph
+
+CORPORA = {
+    "trees n<=6": [CorpusSpec("trees_exhaustive", 2, 6)],
+    "random_connected n=5..9": [CorpusSpec("random_connected", 5, 9, count=20, p=p) for p in (0.3, 0.7)],
+    "families n<=12": [CorpusSpec(kind, 1, 12) for kind in ("complete", "path", "cycle", "star")],
+}
+
+BOUND_FUNCTIONS = (
+    "ub_packing_min_degree",
+    "lb_degree_leaves",
+    "lb_degree_parity",
+    "lb_max_degree_domination",
+    "tree_lower_bounds",
+)
+
+
+def _texts(reports) -> list:
+    return [(r.csv_row(), r.to_json_text()) for r in reports]
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+@pytest.mark.parametrize("name", CORPORA)
+def test_sweeps_match_lone_audits(name, jobs):
+    for spec in CORPORA[name]:
+        lone = _texts(audit_graph(g, graph_id) for graph_id, g in iter_corpus(spec))
+        assert _texts(audit_mod._checked_reports(spec, jobs)) == lone
+
+
+def _count_calls(monkeypatch, names) -> dict:
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(audit_mod, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(audit_mod, name, counted)
+    return calls
+
+
+def test_a_lone_audit_evaluates_every_bound(monkeypatch):
+    calls = _count_calls(monkeypatch, BOUND_FUNCTIONS)
+    tree = path_graph(7)  # a tree, so no bound function is skipped
+    audit_graph(tree)
+    assert calls == dict.fromkeys(BOUND_FUNCTIONS, 1)
+    audit_graph(tree)
+    assert calls == dict.fromkeys(BOUND_FUNCTIONS, 2)
+
+
+@pytest.mark.parametrize("jobs", (1, 2))
+def test_the_memo_lives_one_sweep(monkeypatch, jobs):
+    # A memo kept across sweeps would answer the second sweep from the first
+    # and never call the patched bound. Pool workers are forked after the patch.
+    spec = CorpusSpec("cycle", 3, 8)
+    audit_corpus(spec, jobs=jobs)
+    real = audit_mod.lb_max_degree_domination
+    monkeypatch.setattr(audit_mod, "lb_max_degree_domination",
+                        lambda profile, gamma: dataclasses.replace(real(profile, gamma), tightened=profile.n + 2))
+    with pytest.raises(BoundViolation, match="bound thm3_3 violated"):
+        audit_corpus(spec, jobs=jobs)
+
+
+def test_a_full_memo_starts_over(monkeypatch, tmp_path):
+    # The 1,441 trees with n <= 6 have 13 distinct bound rows. A memo capped
+    # at one row evaluates more of them and writes the same bytes.
+    spec = CorpusSpec("trees_exhaustive", 2, 6)
+
+    def sweep(tag, jobs=1):
+        paths = tmp_path / f"{tag}.csv", tmp_path / f"{tag}.json"
+        audit_corpus(spec, *paths, jobs=jobs)
+        return [path.read_bytes() for path in paths]
+
+    calls = _count_calls(monkeypatch, ("tree_lower_bounds",))
+    full = sweep("full")
+    assert calls["tree_lower_bounds"] == 13
+    monkeypatch.setattr(audit_mod, "_BOUND_ROWS_CAP", 1)
+    assert sweep("capped") == full
+    assert calls["tree_lower_bounds"] > 2 * 13
+    assert sweep("capped-pool", jobs=2) == full

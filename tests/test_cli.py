@@ -311,6 +311,17 @@ def test_jobs_below_one_exit_1(capsys):
         assert err == "error: jobs must be >= 1, got 0\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("audit", "--corpus", "random-connected", "--n-max", "6", "--p", "1.5", "--out", "r.csv", "--json-out", "r.json"),
+     "edge probability must be in (0,1], got 1.5"),
+    (("hunt", "--corpus", "path", "--n-min", "0", "--n-max", "6", "--target", "thm3_3"), "path needs n >= 1, got 0"),
+])
+def test_corpus_generator_errors_exit_1_before_any_report(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+    assert os.listdir(tmp_path) == []
+
+
 def test_usage_errors_exit_1(capsys):
     assert run(capsys, "frobnicate")[0] == 1
     assert run(capsys, "solve", "--param", "nope", "--input", "x")[0] == 1
