@@ -154,6 +154,9 @@ class BoundReport:
     bounds: list = field(default_factory=list)  # (Bound, satisfied, gap) triples, in BOUND_ORDER
     checks: dict = field(default_factory=dict)  # name -> True/False/None
     sharp: list = field(default_factory=list)
+    # A sweep's shared bound row (see _BoundRow), whose rendered text stands
+    # in for bounds and sharp while they are still the row's own tuples.
+    row: _BoundRow | None = field(default=None, repr=False, compare=False)
 
     def bound(self, name: str):
         for b, satisfied, gap in self.bounds:
@@ -182,7 +185,9 @@ class BoundReport:
         is pure Python.
         """
         p = self.profile
-        bounds = [_bound_text(b, satisfied, gap) for b, satisfied, gap in self.bounds]
+        row = self.row
+        bounds = row.bounds_json if row is not None and row.bounds is self.bounds else _bounds_json(self.bounds)
+        sharp = row.sharp_json if row is not None and row.sharp is self.sharp else _sharp_json(self.sharp)
         checks = [f'{_quote(name)}: "{_status_str(v)}"' for name, v in self.checks.items()]
         return f"""{{
   "graph_id": {_quote(self.graph_id)},
@@ -209,9 +214,9 @@ class BoundReport:
     "tuple_domination": {self.tuple_value}
   }},
   "witness": {_quote(str(self.witness))},
-  "bounds": {_members("[", bounds, "]")},
+  "bounds": {bounds},
   "checks": {_members("{", checks, "}")},
-  "sharp": {_members("[", [_quote(name) for name in self.sharp], "]")}
+  "sharp": {sharp}
 }}"""
 
     def to_json_dict(self) -> dict:
@@ -233,12 +238,11 @@ class BoundReport:
             str(self.gamma),
             str(self.rho),
         ]
-        for b, _, gap in self.bounds:
-            if b.applicable:
-                cells.append(str(b.tightened))
-                cells.append(str(gap))
-            else:
-                cells.extend(["NA", "NA"])
+        row = self.row
+        if row is not None and row.bounds is self.bounds:
+            cells.append(row.bound_cells)
+        else:
+            cells.extend(_bound_cells(self.bounds))
         for name in CHECK_ORDER:
             status = self.checks.get(name)
             cells.append("NA" if status is None else ("pass" if status else "fail"))
@@ -256,6 +260,26 @@ def _members(open_: str, lines: list, close: str) -> str:
     if not lines:
         return open_ + close
     return f"{open_}\n    " + ",\n    ".join(lines) + f"\n  {close}"
+
+
+def _bounds_json(bounds) -> str:
+    return _members("[", [_bound_text(b, satisfied, gap) for b, satisfied, gap in bounds], "]")
+
+
+def _sharp_json(sharp) -> str:
+    return _members("[", [_quote(name) for name in sharp], "]")
+
+
+def _bound_cells(bounds) -> list:
+    """The CSV's value and gap cells of each bound, "NA" for an inapplicable one."""
+    cells = []
+    for b, _, gap in bounds:
+        if b.applicable:
+            cells.append(str(b.tightened))
+            cells.append(str(gap))
+        else:
+            cells.extend(["NA", "NA"])
+    return cells
 
 
 def _bound_text(b, satisfied, gap) -> str:
@@ -303,7 +327,8 @@ def audit_graph(g: Graph, graph_id: str | None = None, *, bound_rows: dict | Non
     Disconnected graphs get a report with every bound marked not applicable
     and the invariant checks skipped. Output is deterministic per graph.
     ``bound_rows`` is a sweep's memo of the bound section (see
-    ``_bound_row``); without it every bound is evaluated.
+    ``_BoundRow``): the report shares the row's tuples and rendered text.
+    Without it every bound is evaluated and the report holds lists of its own.
     Graphs with n > ``BNB_CAP`` raise SizeCapError from the solvers. The
     solvers run before the graph6 encoding, so it never sees such a graph.
 
@@ -370,6 +395,8 @@ def audit_graph(g: Graph, graph_id: str | None = None, *, bound_rows: dict | Non
 
     if bound_rows is None:
         bounds, sharp = _bound_row(profile, gamma_s, gamma, rho)
+        report.bounds = list(bounds)
+        report.sharp = list(sharp)
     else:
         key = (
             profile.n, profile.delta, profile.Delta, profile.delta_star, profile.leaf_count,
@@ -379,10 +406,10 @@ def audit_graph(g: Graph, graph_id: str | None = None, *, bound_rows: dict | Non
         if row is None:
             if len(bound_rows) >= _BOUND_ROWS_CAP:
                 bound_rows.clear()
-            row = bound_rows[key] = _bound_row(profile, gamma_s, gamma, rho)
-        bounds, sharp = row
-    report.bounds = list(bounds)
-    report.sharp = list(sharp)
+            row = bound_rows[key] = _BoundRow(*_bound_row(profile, gamma_s, gamma, rho))
+        report.bounds = row.bounds
+        report.sharp = row.sharp
+        report.row = row
 
     report.checks = _invariant_checks(g, profile, report)
     return report
@@ -390,8 +417,27 @@ def audit_graph(g: Graph, graph_id: str | None = None, *, bound_rows: dict | Non
 
 # Rows a sweep's bound memo holds before it starts over. The 1,441 trees with
 # n <= 6 have 13 distinct rows; random graphs rarely repeat one, so without a
-# cap a long random sweep would keep a row per graph.
+# cap a long random sweep would keep a row per graph. A row's rendered text is
+# about 1.6 KB, so a full memo holds about 1.6 MB of it.
 _BOUND_ROWS_CAP = 1024
+
+
+class _BoundRow:
+    """A sweep's bound row, ``_bound_row``'s tuples, with its report text rendered once.
+
+    Every report of the sweep that carries the row holds these very tuples as
+    its ``bounds`` and ``sharp``, and splices in the text while it still does
+    (an ``is`` check); a report whose field was reassigned renders it anew.
+    """
+
+    __slots__ = ("bounds", "sharp", "bounds_json", "sharp_json", "bound_cells")
+
+    def __init__(self, bounds: tuple, sharp: tuple):
+        self.bounds = bounds
+        self.sharp = sharp
+        self.bounds_json = _bounds_json(bounds)
+        self.sharp_json = _sharp_json(sharp)
+        self.bound_cells = ",".join(_bound_cells(bounds))
 
 
 def _bound_row(profile: StructuralProfile, gamma_s: int, gamma: int, rho: int) -> tuple:
@@ -547,23 +593,32 @@ def _pool_reports(pool, items, window: int):
 
 
 def _checked_reports(spec: CorpusSpec, jobs: int = 1):
-    """Yield the BoundReport of every corpus graph in graph-index order.
+    """An iterator over the BoundReport of every corpus graph in graph-index order.
 
-    Raises BoundViolation on the first unsatisfied applicable bound or failed
-    invariant check, and ValueError when ``jobs < 1``. A pool of
-    ``min(jobs, os.cpu_count())`` processes, which may all start at its first
-    submit, audits the graphs with twice that many chunks in flight, or the
-    sweep runs serially when that is 1. Output is the same.
+    Raises ValueError when ``jobs < 1``, and the generator's own errors for
+    the corpus's first graph, before it returns, so a caller that asks for
+    the iterator before opening report files opens nothing on them. The
+    iterator raises BoundViolation on the first unsatisfied applicable bound
+    or failed invariant check. A pool of ``min(jobs, os.cpu_count())``
+    processes, which may all start at its first submit, audits the graphs
+    with twice that many chunks in flight, or the sweep runs serially when
+    that is 1. Output is the same.
 
-    The sweep evaluates each distinct bound row once: the serial sweep, and
-    each pool chunk, keep a memo of ``audit_graph``'s bound section. It lives
-    no longer than the sweep, so a bound function patched between two sweeps
-    is called again.
+    The sweep evaluates and renders each distinct bound row once: the serial
+    sweep, and each pool chunk, keep a memo of ``audit_graph``'s bound
+    section and its report text. It lives no longer than the sweep, so a
+    bound function patched between two sweeps is called again.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    workers = min(jobs, os.cpu_count() or 1)
     items = iter_corpus(spec)
+    first = next(items, None)
+    if first is not None:
+        items = itertools.chain((first,), items)
+    return _reports(items, min(jobs, os.cpu_count() or 1))
+
+
+def _reports(items, workers: int):
     with contextlib.ExitStack() as stack:
         if workers > 1:
             # Imported only here, so serial sweeps never load the pool machinery.
@@ -650,7 +705,8 @@ def audit_corpus(
     wait in an unnamed temporary file in the JSON destination's directory,
     so not even a killed process leaves that copy behind. A CSV and a JSON
     destination that resolve to one file raise ValueError before any file is
-    created, since the second rename would replace the first report.
+    created, since the second rename would replace the first report. So do
+    ``jobs < 1`` and a corpus whose first graph cannot be generated.
     """
     if None not in (csv_path, json_path) and os.path.realpath(csv_path) == os.path.realpath(json_path):
         raise ValueError(f"the CSV and JSON reports cannot both be written to {os.fspath(csv_path)}")
@@ -660,7 +716,10 @@ def audit_corpus(
     gap_max = {name: 0 for name in BOUND_ORDER}
     gap_count = {name: 0 for name in BOUND_ORDER}
 
+    reports = _checked_reports(spec, jobs)
     with _ReportFiles() as files, contextlib.ExitStack() as stack:
+        # Closed on every exit, so a pool stops as soon as the writing does.
+        stack.enter_context(contextlib.closing(reports))
         csv_out = json_out = spool = None
         if csv_path is not None:
             csv_out = files.open(csv_path)
@@ -673,7 +732,7 @@ def audit_corpus(
             directory = os.path.dirname(os.fspath(json_path)) or os.curdir
             spool = stack.enter_context(tempfile.TemporaryFile("w+", buffering=1 << 16, dir=directory))
 
-        for report in _checked_reports(spec, jobs):
+        for report in reports:
             total += 1
             for b, _, gap in report.bounds:
                 if b.applicable:

@@ -213,6 +213,23 @@ def test_corpus_spec_raises_the_generators_errors():
     CorpusSpec(kind="cycle", n_min=-1, n_max=4)
 
 
+@pytest.mark.parametrize("case", ("jobs=0", "no connected sample"))
+def test_argument_errors_come_before_any_report_file(monkeypatch, tmp_path, case):
+    # jobs < 1, and a probability that passes CorpusSpec but gives no connected
+    # G(8, 0.01) sample, both fail before a report file is opened.
+    opened = []
+    monkeypatch.setattr(audit_mod._ReportFiles, "open", lambda self, destination: opened.append(destination))
+    if case == "jobs=0":
+        spec, jobs, message = CorpusSpec("path", 3, 5), 0, "jobs must be >= 1"
+    else:
+        spec, jobs, message = CorpusSpec("random_connected", 8, 9, p=0.01), 1, "no connected G"
+    with pytest.raises(ValueError, match=message):
+        audit_corpus(spec, tmp_path / "r.csv", tmp_path / "r.json", jobs=jobs)
+    with pytest.raises(ValueError, match=message):
+        hunt(spec, "thm3_3", jobs=jobs)
+    assert opened == [] and os.listdir(tmp_path) == []
+
+
 def test_cycle_corpus_starts_at_three():
     # The CLI's default --n-min is 2, below the smallest cycle.
     assert audit_corpus(CorpusSpec("cycle", 2, 5))["graphs"] == 3

@@ -21,6 +21,12 @@ SWEEPS = {
         "0c31de05ca80e700d792b955ebcc71297f41bc131b515929b216fbf1b6e4c261",
         "311e9725ce3b1145dede0269b95194d4a9403964b46380eab5a8e0837cae398a",
     ),
+    # The benchmark's tree sweep, whose digests perfbench/reference.json freezes too.
+    "trees n<=6": (
+        CorpusSpec(kind="trees_exhaustive", n_min=2, n_max=6),
+        "4fc739c91ff46bfd5b980c35f32565a68976dfa7e3ed1789803997f04d72dc7e",
+        "910f2a4fa347ce1c2aaee94ef719bf709ac0494c7cac48427843ab56356f3e2f",
+    ),
     "random_connected n=5..7": (
         CorpusSpec(kind="random_connected", n_min=5, n_max=7, count=4, p=0.5, seed=123),
         "d4893c3a8a28738f775c1334308e298d94f2e1b9dffe65663417191c291cfc33",
