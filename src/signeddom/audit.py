@@ -151,11 +151,11 @@ class BoundReport:
     limited_packing_value: int | None
     tuple_k: int
     tuple_value: int
-    bounds: list = field(default_factory=list)  # (Bound, satisfied, gap) triples, in BOUND_ORDER
+    bounds: tuple = ()  # (Bound, satisfied, gap) triples, in BOUND_ORDER
     checks: dict = field(default_factory=dict)  # name -> True/False/None
-    sharp: list = field(default_factory=list)
-    # A sweep's shared bound row (see _BoundRow), whose rendered text stands
-    # in for bounds and sharp while they are still the row's own tuples.
+    sharp: tuple = ()
+    # The report's bound row (see _BoundRow), whose rendered text stands in
+    # for bounds and sharp while they are still the row's own tuples.
     row: _BoundRow | None = field(default=None, repr=False, compare=False)
 
     def bound(self, name: str):
@@ -326,11 +326,12 @@ def audit_graph(g: Graph, graph_id: str | None = None, *, bound_rows: dict | Non
 
     Disconnected graphs get a report with every bound marked not applicable
     and the invariant checks skipped. Output is deterministic per graph.
-    ``bound_rows`` is a sweep's memo of the bound section (see
-    ``_BoundRow``): the report shares the row's tuples and rendered text.
-    Without it every bound is evaluated and the report holds lists of its own.
-    Graphs with n > ``BNB_CAP`` raise SizeCapError from the solvers. The
-    solvers run before the graph6 encoding, so it never sees such a graph.
+    The bound section is a ``_BoundRow``, looked up in ``bound_rows``, a
+    sweep's memo, or built on a miss; without a memo every bound is
+    evaluated for this graph alone. Either way the report shares the row's
+    tuples and rendered text. Graphs with n > ``BNB_CAP`` raise SizeCapError
+    from the solvers. The solvers run before the graph6 encoding, so it
+    never sees such a graph.
 
     Every solve runs back to back on g, so all of them, the chain checks
     included, share the solvers' one packing route of g: its degree-order
@@ -387,31 +388,21 @@ def audit_graph(g: Graph, graph_id: str | None = None, *, bound_rows: dict | Non
         if problem:
             raise BoundViolation(problem, g6, report)
 
-    if not profile.is_connected:
-        bound_list = [not_applicable(name, "disconnected") for name in BOUND_ORDER]
-        report.bounds = [(b, None, None) for b in bound_list]
-        report.checks = {name: None for name in CHECK_ORDER}
-        return report
-
-    if bound_rows is None:
-        bounds, sharp = _bound_row(profile, gamma_s, gamma, rho)
-        report.bounds = list(bounds)
-        report.sharp = list(sharp)
+    memo = {} if bound_rows is None else bound_rows
+    key = (
+        profile.n, profile.delta, profile.Delta, profile.delta_star, profile.leaf_count, profile.support_count,
+        profile.odd_count, profile.is_connected, profile.is_tree, rho, gamma, gamma_s,
+    )
+    row = memo.get(key)
+    if row is None:
+        if len(memo) >= _BOUND_ROWS_CAP:
+            memo.clear()
+        row = memo[key] = _BoundRow(profile, gamma_s, gamma, rho)
+    report.bounds, report.sharp, report.row = row.bounds, row.sharp, row
+    if profile.is_connected:
+        report.checks = _invariant_checks(g, profile, report)
     else:
-        key = (
-            profile.n, profile.delta, profile.Delta, profile.delta_star, profile.leaf_count,
-            profile.support_count, profile.odd_count, profile.is_tree, rho, gamma, gamma_s,
-        )
-        row = bound_rows.get(key)
-        if row is None:
-            if len(bound_rows) >= _BOUND_ROWS_CAP:
-                bound_rows.clear()
-            row = bound_rows[key] = _BoundRow(*_bound_row(profile, gamma_s, gamma, rho))
-        report.bounds = row.bounds
-        report.sharp = row.sharp
-        report.row = row
-
-    report.checks = _invariant_checks(g, profile, report)
+        report.checks = dict.fromkeys(CHECK_ORDER)
     return report
 
 
@@ -423,47 +414,46 @@ _BOUND_ROWS_CAP = 1024
 
 
 class _BoundRow:
-    """A sweep's bound row, ``_bound_row``'s tuples, with its report text rendered once.
+    """A report's bound section, (Bound, satisfied, gap) triples and sharp names, with its text.
 
-    Every report of the sweep that carries the row holds these very tuples as
-    its ``bounds`` and ``sharp``, and splices in the text while it still does
-    (an ``is`` check); a report whose field was reassigned renders it anew.
+    It reads only the profile fields that bounds.py reads, connectivity, and
+    rho, gamma and gamma_s, so a sweep keys its memo on those and shares the
+    row, and its read-only Bound records, between graphs that agree on them.
+    A disconnected graph's row marks every bound not applicable and names no
+    sharp bound. The JSON and CSV text is rendered once, when the row is
+    built. Every report that carries the row holds these very tuples as its
+    ``bounds`` and ``sharp``, and splices in the text while it still does (an
+    ``is`` check); a report whose field was reassigned renders it anew.
     """
 
     __slots__ = ("bounds", "sharp", "bounds_json", "sharp_json", "bound_cells")
 
-    def __init__(self, bounds: tuple, sharp: tuple):
-        self.bounds = bounds
-        self.sharp = sharp
-        self.bounds_json = _bounds_json(bounds)
-        self.sharp_json = _sharp_json(sharp)
-        self.bound_cells = ",".join(_bound_cells(bounds))
-
-
-def _bound_row(profile: StructuralProfile, gamma_s: int, gamma: int, rho: int) -> tuple:
-    """The bound section of a connected graph's report: (bounds, sharp), as tuples.
-
-    It reads only the profile fields that bounds.py reads plus rho, gamma and
-    gamma_s, so a sweep keys its memo on those and shares the row, and its
-    read-only Bound records, between graphs that agree on them.
-    """
-    bounds, sharp = [], []
-    for b in (
-        ub_packing_min_degree(profile, rho),
-        lb_degree_leaves(profile),
-        lb_degree_parity(profile),
-        lb_max_degree_domination(profile, gamma),
-        *tree_lower_bounds(profile),
-    ):
-        if not b.applicable:
-            bounds.append((b, None, None))
-            continue
-        satisfied = b.tightened <= gamma_s if b.kind == LOWER else gamma_s <= b.tightened
-        gap = abs(gamma_s - b.tightened)
-        bounds.append((b, satisfied, gap))
-        if satisfied and gap == 0:
-            sharp.append(b.name)
-    return tuple(bounds), tuple(sharp)
+    def __init__(self, profile: StructuralProfile, gamma_s: int, gamma: int, rho: int):
+        if profile.is_connected:
+            records = (
+                ub_packing_min_degree(profile, rho),
+                lb_degree_leaves(profile),
+                lb_degree_parity(profile),
+                lb_max_degree_domination(profile, gamma),
+                *tree_lower_bounds(profile),
+            )
+        else:
+            records = [not_applicable(name, "disconnected") for name in BOUND_ORDER]
+        bounds, sharp = [], []
+        for b in records:
+            if not b.applicable:
+                bounds.append((b, None, None))
+                continue
+            satisfied = b.tightened <= gamma_s if b.kind == LOWER else gamma_s <= b.tightened
+            gap = abs(gamma_s - b.tightened)
+            bounds.append((b, satisfied, gap))
+            if satisfied and gap == 0:
+                sharp.append(b.name)
+        self.bounds = tuple(bounds)
+        self.sharp = tuple(sharp)
+        self.bounds_json = _bounds_json(self.bounds)
+        self.sharp_json = _sharp_json(self.sharp)
+        self.bound_cells = ",".join(_bound_cells(self.bounds))
 
 
 def _invariant_checks(g: Graph, profile: StructuralProfile, report: BoundReport) -> dict:

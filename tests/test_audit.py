@@ -43,7 +43,7 @@ def test_audit_k6_sharp_everywhere():
     for name in ("thm2_1_ub", "thm3_2_i", "thm3_2_ii", "thm3_3"):
         b, satisfied, gap = report.bound(name)
         assert b.applicable and satisfied and gap == 0 and b.tightened == 2
-    assert report.sharp == ["thm2_1_ub", "thm3_2_i", "thm3_2_ii", "thm3_3"]
+    assert report.sharp == ("thm2_1_ub", "thm3_2_i", "thm3_2_ii", "thm3_3")
     assert all(v is True for v in report.checks.values())
     assert report.gamma == 1 and report.rho == 1
     assert report.limited_packing_k == 2 and report.limited_packing_value == 2

@@ -1,7 +1,9 @@
-"""A sweep's memo of the bound section: exact, and no longer-lived than the sweep.
+"""The bound section as one row: a sweep's memo of it is exact and no longer-lived than the sweep.
 
-``audit_graph`` evaluates the seven bounds from a few profile counts plus rho,
-gamma and gamma_s, so a sweep keeps one row per distinct set of those inputs.
+``audit_graph`` evaluates the seven bounds from a few profile counts,
+connectivity, and rho, gamma and gamma_s, so a sweep keeps one row per distinct
+set of those inputs. A lone audit builds a row of its own, so a swept report
+equals the lone audit of its graph, field for field and byte for byte.
 """
 
 import dataclasses
@@ -11,7 +13,17 @@ import pytest
 
 import signeddom.audit as audit_mod
 from signeddom.audit import CSV_HEADER
-from signeddom import BoundViolation, CorpusSpec, audit_corpus, audit_graph, iter_corpus, path_graph
+from signeddom import (
+    BoundViolation,
+    CorpusSpec,
+    Graph,
+    audit_corpus,
+    audit_graph,
+    cycle_graph,
+    iter_corpus,
+    path_graph,
+    structural_profile,
+)
 
 CORPORA = {
     "trees n<=6": [CorpusSpec("trees_exhaustive", 2, 6)],
@@ -36,8 +48,27 @@ def _texts(reports) -> list:
 @pytest.mark.parametrize("name", CORPORA)
 def test_sweeps_match_lone_audits(name, jobs):
     for spec in CORPORA[name]:
-        lone = _texts(audit_graph(g, graph_id) for graph_id, g in iter_corpus(spec))
-        assert _texts(audit_mod._checked_reports(spec, jobs)) == lone
+        lone = [audit_graph(g, graph_id) for graph_id, g in iter_corpus(spec)]
+        swept = list(audit_mod._checked_reports(spec, jobs))
+        assert swept == lone
+        assert _texts(swept) == _texts(lone)
+
+
+def test_the_memo_key_separates_connected_from_disconnected():
+    # C6 and 2K3 agree on every other field of the key, so a key without
+    # connectivity would hand the second graph the first one's row.
+    graphs = {"C6": cycle_graph(6), "2K3": Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])}
+    lone = {name: audit_graph(g, name) for name, g in graphs.items()}
+    c6, two_k3 = (dataclasses.asdict(structural_profile(g)) for g in graphs.values())
+    assert {k for k in c6 if c6[k] != two_k3[k]} == {"is_connected"}
+    assert {(r.rho, r.gamma, r.gamma_s) for r in lone.values()} == {(2, 2, 2)}
+    assert all(b.reason == "disconnected" for b, _, _ in lone["2K3"].bounds)
+    for order in (("C6", "2K3"), ("2K3", "C6")):
+        bound_rows = {}
+        reports = [audit_graph(graphs[name], name, bound_rows=bound_rows) for name in order]
+        assert len(bound_rows) == 2
+        assert reports == [lone[name] for name in order]
+        assert _texts(reports) == _texts(lone[name] for name in order)
 
 
 def _count_calls(monkeypatch, names) -> dict:
@@ -99,11 +130,13 @@ def test_a_sweep_renders_each_row_once(monkeypatch, tmp_path):
     calls = _count_calls(monkeypatch, ("_bound_text",))
     audit_corpus(CorpusSpec("trees_exhaustive", 2, 6), tmp_path / "r.csv", tmp_path / "r.json")
     assert calls["_bound_text"] == 13 * 7
-    # A lone audit keeps no row, so each rendering encodes its seven bounds.
+    # A lone audit builds a row of its own: its seven bounds are rendered
+    # once, when the report is built, and never again.
     report = audit_graph(path_graph(7))
+    assert calls["_bound_text"] == 13 * 7 + 7
     report.to_json_text()
     report.to_json_text()
-    assert calls["_bound_text"] == 13 * 7 + 2 * 7
+    assert calls["_bound_text"] == 13 * 7 + 7
 
 
 def test_a_reassigned_row_is_rendered_anew():
