@@ -136,7 +136,12 @@ class CorpusSpec:
 
 @dataclass
 class BoundReport:
-    """Everything the audit learned about one graph."""
+    """Everything the audit learned about one graph.
+
+    The bound section is ``row``'s, a _BoundRow that a sweep may share
+    between graphs: ``bounds`` and ``sharp`` are read-only views of it, and
+    the report's JSON and CSV text splice in the row's rendered text.
+    """
 
     graph_id: str
     graph6: str
@@ -151,12 +156,18 @@ class BoundReport:
     limited_packing_value: int | None
     tuple_k: int
     tuple_value: int
-    bounds: tuple = ()  # (Bound, satisfied, gap) triples, in BOUND_ORDER
+    row: _BoundRow = field(repr=False, compare=False)
     checks: dict = field(default_factory=dict)  # name -> True/False/None
-    sharp: tuple = ()
-    # The report's bound row (see _BoundRow), whose rendered text stands in
-    # for bounds and sharp while they are still the row's own tuples.
-    row: _BoundRow | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def bounds(self) -> tuple:
+        """(Bound, satisfied, gap) triples, in BOUND_ORDER."""
+        return self.row.bounds
+
+    @property
+    def sharp(self) -> tuple:
+        """Names of the bounds that meet gamma_s, in BOUND_ORDER."""
+        return self.row.sharp
 
     def bound(self, name: str):
         for b, satisfied, gap in self.bounds:
@@ -182,12 +193,9 @@ class BoundReport:
         ``BoundViolation.dump``, ``bounds --json`` and the corpus JSON file all
         read it. Building the text directly costs about a fifth of building a
         dict and passing it to the standard library's indented encoder, which
-        is pure Python.
+        is pure Python. The bound section is the row's text, rendered once.
         """
         p = self.profile
-        row = self.row
-        bounds = row.bounds_json if row is not None and row.bounds is self.bounds else _bounds_json(self.bounds)
-        sharp = row.sharp_json if row is not None and row.sharp is self.sharp else _sharp_json(self.sharp)
         checks = [f'{_quote(name)}: "{_status_str(v)}"' for name, v in self.checks.items()]
         return f"""{{
   "graph_id": {_quote(self.graph_id)},
@@ -214,9 +222,9 @@ class BoundReport:
     "tuple_domination": {self.tuple_value}
   }},
   "witness": {_quote(str(self.witness))},
-  "bounds": {bounds},
+  "bounds": {self.row.bounds_json},
   "checks": {_members("{", checks, "}")},
-  "sharp": {sharp}
+  "sharp": {self.row.sharp_json}
 }}"""
 
     def to_json_dict(self) -> dict:
@@ -237,12 +245,8 @@ class BoundReport:
             str(self.gamma_s),
             str(self.gamma),
             str(self.rho),
+            self.row.bound_cells,
         ]
-        row = self.row
-        if row is not None and row.bounds is self.bounds:
-            cells.append(row.bound_cells)
-        else:
-            cells.extend(_bound_cells(self.bounds))
         for name in CHECK_ORDER:
             status = self.checks.get(name)
             cells.append("NA" if status is None else ("pass" if status else "fail"))
@@ -260,26 +264,6 @@ def _members(open_: str, lines: list, close: str) -> str:
     if not lines:
         return open_ + close
     return f"{open_}\n    " + ",\n    ".join(lines) + f"\n  {close}"
-
-
-def _bounds_json(bounds) -> str:
-    return _members("[", [_bound_text(b, satisfied, gap) for b, satisfied, gap in bounds], "]")
-
-
-def _sharp_json(sharp) -> str:
-    return _members("[", [_quote(name) for name in sharp], "]")
-
-
-def _bound_cells(bounds) -> list:
-    """The CSV's value and gap cells of each bound, "NA" for an inapplicable one."""
-    cells = []
-    for b, _, gap in bounds:
-        if b.applicable:
-            cells.append(str(b.tightened))
-            cells.append(str(gap))
-        else:
-            cells.extend(["NA", "NA"])
-    return cells
 
 
 def _bound_text(b, satisfied, gap) -> str:
@@ -328,10 +312,11 @@ def audit_graph(g: Graph, graph_id: str | None = None, *, bound_rows: dict | Non
     and the invariant checks skipped. Output is deterministic per graph.
     The bound section is a ``_BoundRow``, looked up in ``bound_rows``, a
     sweep's memo, or built on a miss; without a memo every bound is
-    evaluated for this graph alone. Either way the report shares the row's
-    tuples and rendered text. Graphs with n > ``BNB_CAP`` raise SizeCapError
-    from the solvers. The solvers run before the graph6 encoding, so it
-    never sees such a graph.
+    evaluated for this graph alone. The row is found right after the solves
+    and the report is built around it, so the report that a certificate
+    abort dumps carries the full bound section and no checks. Graphs with
+    n > ``BNB_CAP`` raise SizeCapError from the solvers. The solvers run
+    before the graph6 encoding, so it never sees such a graph.
 
     Every solve runs back to back on g, so all of them, the chain checks
     included, share the solvers' one packing route of g: its degree-order
@@ -361,6 +346,16 @@ def audit_graph(g: Graph, graph_id: str | None = None, *, bound_rows: dict | Non
     g6 = serialize_graph(g, "graph6")
     if graph_id is None:
         graph_id = g6
+    memo = {} if bound_rows is None else bound_rows
+    key = (
+        profile.n, profile.delta, profile.Delta, profile.delta_star, profile.leaf_count, profile.support_count,
+        profile.odd_count, profile.is_connected, profile.is_tree, rho, gamma, gamma_s,
+    )
+    row = memo.get(key)
+    if row is None:
+        if len(memo) >= _BOUND_ROWS_CAP:
+            memo.clear()
+        row = memo[key] = _BoundRow(profile, gamma_s, gamma, rho)
 
     report = BoundReport(
         graph_id=graph_id,
@@ -376,6 +371,7 @@ def audit_graph(g: Graph, graph_id: str | None = None, *, bound_rows: dict | Non
         limited_packing_value=lp_value,
         tuple_k=tuple_k,
         tuple_value=tuple_value,
+        row=row,
     )
     for name, value, cert, role, k in (
         ("gamma_s", gamma_s, witness, None, None),
@@ -388,17 +384,6 @@ def audit_graph(g: Graph, graph_id: str | None = None, *, bound_rows: dict | Non
         if problem:
             raise BoundViolation(problem, g6, report)
 
-    memo = {} if bound_rows is None else bound_rows
-    key = (
-        profile.n, profile.delta, profile.Delta, profile.delta_star, profile.leaf_count, profile.support_count,
-        profile.odd_count, profile.is_connected, profile.is_tree, rho, gamma, gamma_s,
-    )
-    row = memo.get(key)
-    if row is None:
-        if len(memo) >= _BOUND_ROWS_CAP:
-            memo.clear()
-        row = memo[key] = _BoundRow(profile, gamma_s, gamma, rho)
-    report.bounds, report.sharp, report.row = row.bounds, row.sharp, row
     if profile.is_connected:
         report.checks = _invariant_checks(g, profile, report)
     else:
@@ -420,10 +405,10 @@ class _BoundRow:
     rho, gamma and gamma_s, so a sweep keys its memo on those and shares the
     row, and its read-only Bound records, between graphs that agree on them.
     A disconnected graph's row marks every bound not applicable and names no
-    sharp bound. The JSON and CSV text is rendered once, when the row is
-    built. Every report that carries the row holds these very tuples as its
-    ``bounds`` and ``sharp``, and splices in the text while it still does (an
-    ``is`` check); a report whose field was reassigned renders it anew.
+    sharp bound. The row is the one renderer of the bound section: its JSON
+    arrays and CSV cells are rendered once, when it is built, and every
+    report that carries it splices them in. A report's ``bounds`` and
+    ``sharp`` are read-only views of these tuples.
     """
 
     __slots__ = ("bounds", "sharp", "bounds_json", "sharp_json", "bound_cells")
@@ -439,21 +424,23 @@ class _BoundRow:
             )
         else:
             records = [not_applicable(name, "disconnected") for name in BOUND_ORDER]
-        bounds, sharp = [], []
+        bounds, sharp, cells = [], [], []
         for b in records:
             if not b.applicable:
                 bounds.append((b, None, None))
+                cells += ("NA", "NA")
                 continue
             satisfied = b.tightened <= gamma_s if b.kind == LOWER else gamma_s <= b.tightened
             gap = abs(gamma_s - b.tightened)
             bounds.append((b, satisfied, gap))
+            cells += (str(b.tightened), str(gap))
             if satisfied and gap == 0:
                 sharp.append(b.name)
         self.bounds = tuple(bounds)
         self.sharp = tuple(sharp)
-        self.bounds_json = _bounds_json(self.bounds)
-        self.sharp_json = _sharp_json(self.sharp)
-        self.bound_cells = ",".join(_bound_cells(self.bounds))
+        self.bounds_json = _members("[", [_bound_text(*triple) for triple in bounds], "]")
+        self.sharp_json = _members("[", [_quote(name) for name in sharp], "]")
+        self.bound_cells = ",".join(cells)  # each bound's value and gap cells, "NA" if inapplicable
 
 
 def _invariant_checks(g: Graph, profile: StructuralProfile, report: BoundReport) -> dict:

@@ -251,19 +251,38 @@ def test_trees_exhaustive_corpus_count():
 
 def test_violation_aborts_with_dump(monkeypatch):
     g = cycle_graph(6)
-    tampered = audit_graph(g, "C6")
-    tampered.bounds = [(bb, False if bb.name == "thm3_3" else sat, gp)
-                       for bb, sat, gp in tampered.bounds]
-    assert tampered.violations() == ["bound thm3_3 violated (raw=0, gamma_s=2)"]
+    # thm3_3 made to read n + 2 = 8 on C6, above gamma_s = 2.
+    real = audit_mod.lb_max_degree_domination
+    monkeypatch.setattr(audit_mod, "lb_max_degree_domination",
+                        lambda profile, gamma: dataclasses.replace(real(profile, gamma), tightened=profile.n + 2))
+    assert audit_graph(g, "C6").violations() == ["bound thm3_3 violated (raw=0, gamma_s=2)"]
 
-    monkeypatch.setattr(audit_mod, "audit_graph", lambda *a, **k: tampered)
     spec = CorpusSpec(kind="cycle", n_min=6, n_max=6)
     with pytest.raises(BoundViolation) as info:
         audit_corpus(spec)
+    assert str(info.value) == "bound thm3_3 violated (raw=0, gamma_s=2)"
     assert info.value.graph6 == serialize_graph(g, "graph6")
     assert "thm3_3" in info.value.dump()
     with pytest.raises(BoundViolation):
         hunt(spec, "thm3_3")
+
+
+@pytest.mark.parametrize("jobs", (None, 1, 2))
+def test_certificate_abort_dumps_the_bound_section(monkeypatch, jobs):
+    g = cycle_graph(6)
+    lone = json.loads(audit_graph(g).to_json_text())
+    real = audit_mod.check
+    # Pool workers are forked after the patch, so their gamma re-check fails too.
+    monkeypatch.setattr(audit_mod, "check",
+                        lambda graph, name, *args: "gamma tampered" if name == "gamma" else real(graph, name, *args))
+    with pytest.raises(BoundViolation, match="gamma tampered") as info:
+        if jobs is None:
+            audit_graph(g)
+        else:
+            audit_corpus(CorpusSpec("cycle", 6, 6), jobs=jobs)
+    dumped = json.loads(info.value.dump().split("report: ", 1)[1])
+    assert len(dumped["bounds"]) == len(BOUND_ORDER)
+    assert (dumped["bounds"], dumped["sharp"], dumped["checks"]) == (lone["bounds"], lone["sharp"], {})
 
 
 @pytest.mark.parametrize("jobs", (1, 2))

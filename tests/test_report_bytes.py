@@ -83,11 +83,11 @@ def test_backslash_graph6_is_escaped():
 
 def test_text_is_what_the_standard_encoder_writes():
     # Every report of the n <= 6 trees, the two graphs above, and a report cut
-    # short before its bounds and checks (what a certificate abort dumps).
+    # short before its checks (what a certificate abort dumps).
     reports = [audit_graph(g, graph_id) for graph_id, g in iter_corpus(CorpusSpec("trees_exhaustive", 2, 6))]
     reports += [audit_graph(DISCONNECTED, 'odd "id" \\ é'), audit_graph(BACKSLASH)]
     partial = audit_graph(BACKSLASH)
-    reports.append(BoundReport(**{**vars(partial), "bounds": [], "checks": {}, "sharp": []}))
+    reports.append(BoundReport(**{**vars(partial), "checks": {}}))
     assert len(reports) == 1441 + 3
     for report in reports:
         text = report.to_json_text()
