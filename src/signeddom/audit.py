@@ -19,7 +19,6 @@ import errno
 import itertools
 import json
 import os
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
 from .bounds import (
@@ -49,7 +48,7 @@ from .generate import (
     require_probability,
     require_size,
 )
-from .graphs import Graph, StructuralProfile, structural_profile
+from .graphs import FrozenRecord, Graph, Record, StructuralProfile, structural_profile
 from .solvers import (
     BNB_CAP,
     domination_number,
@@ -104,60 +103,68 @@ class BoundViolation(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class CorpusSpec:
+class CorpusSpec(FrozenRecord):
     """Deterministic description of a generated graph corpus."""
 
-    kind: str
-    n_min: int
-    n_max: int
-    count: int = 1
-    p: float = 0.5
-    seed: int = 0
+    _fields = ("kind", "n_min", "n_max", "count", "p", "seed")
 
-    def __post_init__(self):
-        if self.kind not in CORPUS_KINDS:
-            raise ValueError(f"unknown corpus kind {self.kind!r}; expected one of {CORPUS_KINDS}")
-        if self.count < 1:
+    def __init__(self, kind: str, n_min: int, n_max: int, count: int = 1, p: float = 0.5, seed: int = 0):
+        if kind not in CORPUS_KINDS:
+            raise ValueError(f"unknown corpus kind {kind!r}; expected one of {CORPUS_KINDS}")
+        if count < 1:
             raise ValueError("count must be >= 1")
-        if self.n_min > self.n_max:
+        if n_min > n_max:
             raise ValueError("n_min must not exceed n_max")
-        if self.n_max > BNB_CAP:
-            raise ValueError(f"n_max {self.n_max} exceeds the solver caps (n <= {BNB_CAP})")
-        if self.kind == "trees_exhaustive" and self.n_max > TREE_ENUM_MAX_N:
-            raise ValueError(f"trees_exhaustive needs n_max <= {TREE_ENUM_MAX_N}, got {self.n_max}")
+        if n_max > BNB_CAP:
+            raise ValueError(f"n_max {n_max} exceeds the solver caps (n <= {BNB_CAP})")
+        if kind == "trees_exhaustive" and n_max > TREE_ENUM_MAX_N:
+            raise ValueError(f"trees_exhaustive needs n_max <= {TREE_ENUM_MAX_N}, got {n_max}")
         # The generator's own errors, raised before any report file is opened.
         # The tree and cycle corpora start at n = 2 and 3 whatever n_min is.
-        if self.kind not in ("trees_exhaustive", "cycle"):
-            require_size(self.kind, self.n_min)
-        if self.kind == "random_connected":
-            require_probability(self.p)
+        if kind not in ("trees_exhaustive", "cycle"):
+            require_size(kind, n_min)
+        if kind == "random_connected":
+            require_probability(p)
+        self.__dict__.update(kind=kind, n_min=n_min, n_max=n_max, count=count, p=p, seed=seed)
 
 
-@dataclass
-class BoundReport:
+class BoundReport(Record):
     """Everything the audit learned about one graph.
 
     The bound section is ``row``'s, a _BoundRow that a sweep may share
     between graphs: ``bounds`` and ``sharp`` are read-only views of it, and
     the report's JSON and CSV text splice in the row's rendered text.
+    Equality compares the row's text, never the row object; the repr omits it.
     """
 
-    graph_id: str
-    graph6: str
-    n: int
-    m: int
-    profile: StructuralProfile
-    gamma_s: int
-    witness: SignedFunction
-    gamma: int
-    rho: int
-    limited_packing_k: int | None
-    limited_packing_value: int | None
-    tuple_k: int
-    tuple_value: int
-    row: _BoundRow = field(repr=False, compare=False)
-    checks: dict = field(default_factory=dict)  # name -> True/False/None
+    _fields = (
+        "graph_id", "graph6", "n", "m", "profile", "gamma_s", "witness", "gamma", "rho", "limited_packing_k",
+        "limited_packing_value", "tuple_k", "tuple_value", "checks",
+    )
+
+    def __init__(
+        self, graph_id: str, graph6: str, n: int, m: int, profile: StructuralProfile, gamma_s: int,
+        witness: SignedFunction, gamma: int, rho: int, limited_packing_k: int | None,
+        limited_packing_value: int | None, tuple_k: int, tuple_value: int, row: _BoundRow, checks: dict | None = None,
+    ):
+        self.graph_id = graph_id
+        self.graph6 = graph6
+        self.n = n
+        self.m = m
+        self.profile = profile
+        self.gamma_s = gamma_s
+        self.witness = witness
+        self.gamma = gamma
+        self.rho = rho
+        self.limited_packing_k = limited_packing_k
+        self.limited_packing_value = limited_packing_value
+        self.tuple_k = tuple_k
+        self.tuple_value = tuple_value
+        self.row = row
+        self.checks = {} if checks is None else checks  # name -> True/False/None
+
+    def _values(self) -> tuple:
+        return (*super()._values(), self.row.bounds_json, self.row.sharp_json)
 
     @property
     def bounds(self) -> tuple:
@@ -522,9 +529,13 @@ def _check_tuple_chain(g: Graph, profile: StructuralProfile, known: dict) -> boo
 # -- corpus sweeps -------------------------------------------------------------
 
 
+def _graph_seed(spec: CorpusSpec, n: int, i: int) -> int:
+    """The seed of a random corpus's graph i of size n: derived from its graph index."""
+    return derive_seed(spec.seed, (n - spec.n_min) * spec.count + i)
+
+
 def iter_corpus(spec: CorpusSpec):
     """Yield (graph_id, Graph) deterministically in graph-index order."""
-    index = 0
     if spec.kind == "trees_exhaustive":
         for n in range(max(2, spec.n_min), spec.n_max + 1):
             for i, g in enumerate(enumerate_labeled_trees(n)):
@@ -535,15 +546,12 @@ def iter_corpus(spec: CorpusSpec):
     for n in range(n_min, spec.n_max + 1):
         if spec.kind in ("complete", "path", "cycle", "star"):
             yield f"{spec.kind}-n{n}", generate(spec.kind, {"n": n})
-            index += 1
             continue
         for i in range(spec.count):
-            seed = derive_seed(spec.seed, index)
             params = {"n": n}
             if spec.kind == "random_connected":
                 params["p"] = spec.p
-            yield f"{spec.kind}-n{n}-{i:04d}", generate(spec.kind, params, seed)
-            index += 1
+            yield f"{spec.kind}-n{n}-{i:04d}", generate(spec.kind, params, _graph_seed(spec, n, i))
 
 
 POOL_CHUNK = 64
@@ -572,9 +580,10 @@ def _pool_reports(pool, items, window: int):
 def _checked_reports(spec: CorpusSpec, jobs: int = 1):
     """An iterator over the BoundReport of every corpus graph in graph-index order.
 
-    Raises ValueError when ``jobs < 1``, and the generator's own errors for
-    the corpus's first graph, before it returns, so a caller that asks for
-    the iterator before opening report files opens nothing on them. The
+    Raises ValueError when ``jobs < 1``, and the generator's own errors,
+    before it returns, so a caller that asks for the iterator before opening
+    report files opens nothing on them: random_connected, the one generator
+    that can fail on a valid CorpusSpec, draws each size's first graph. The
     iterator raises BoundViolation on the first unsatisfied applicable bound
     or failed invariant check. A pool of ``min(jobs, os.cpu_count())``
     processes, which may all start at its first submit, audits the graphs
@@ -588,11 +597,10 @@ def _checked_reports(spec: CorpusSpec, jobs: int = 1):
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    items = iter_corpus(spec)
-    first = next(items, None)
-    if first is not None:
-        items = itertools.chain((first,), items)
-    return _reports(items, min(jobs, os.cpu_count() or 1))
+    if spec.kind == "random_connected":
+        for n in range(spec.n_min, spec.n_max + 1):
+            generate(spec.kind, {"n": n, "p": spec.p}, _graph_seed(spec, n, 0))
+    return _reports(iter_corpus(spec), min(jobs, os.cpu_count() or 1))
 
 
 def _reports(items, workers: int):

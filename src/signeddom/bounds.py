@@ -30,10 +30,9 @@ tree bounds come back not applicable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import StructuralProfile
+from .graphs import Record, StructuralProfile
 
 LOWER = "lower"
 UPPER = "upper"
@@ -51,20 +50,25 @@ BOUND_KINDS = {
 BOUND_ORDER = tuple(BOUND_KINDS)
 
 
-@dataclass(slots=True)
-class Bound:
+class Bound(Record):
     """One evaluated bound: exact rational value plus its parity tightening.
 
     A plain slotted value record: the audit builds seven per graph, and
     nothing changes one after it is built.
     """
 
-    name: str
-    kind: str
-    raw: Fraction | None
-    tightened: int | None
-    applicable: bool
-    reason: str | None = None
+    __slots__ = _fields = ("name", "kind", "raw", "tightened", "applicable", "reason")
+
+    def __init__(
+        self, name: str, kind: str, raw: Fraction | None, tightened: int | None, applicable: bool,
+        reason: str | None = None,
+    ):
+        self.name = name
+        self.kind = kind
+        self.raw = raw
+        self.tightened = tightened
+        self.applicable = applicable
+        self.reason = reason
 
 
 def parity_tighten(raw: Fraction, n: int, kind: str) -> int:

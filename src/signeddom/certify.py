@@ -10,16 +10,15 @@ independent of what it checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .graphs import Graph, bits
+from .graphs import FrozenRecord, Graph, bits
 
 ROLE_TUPLE_DOMINATING = "tuple_dominating"
 ROLE_LIMITED_PACKING = "limited_packing"
+# The frozen records set their fields past their own __setattr__: a global is the cheapest route.
+_set = object.__setattr__
 
 
-@dataclass(frozen=True, slots=True)
-class SignedFunction:
+class SignedFunction(FrozenRecord):
     """A +/-1 vertex labeling; the candidate or optimal signed dominating function.
 
     A frozen certificate. The loop that rejects values other than -1 and +1
@@ -28,17 +27,18 @@ class SignedFunction:
     hashing or the repr.
     """
 
-    assignment: tuple
-    _plus: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("assignment", "_plus")
+    _fields = ("assignment",)
 
-    def __post_init__(self):
+    def __init__(self, assignment: tuple):
         plus = 0
-        for v, a in enumerate(self.assignment):
+        for v, a in enumerate(assignment):
             if a == 1:
                 plus |= 1 << v
             elif a != -1:
                 raise ValueError("assignment values must be -1 or +1")
-        object.__setattr__(self, "_plus", plus)
+        _set(self, "assignment", assignment)
+        _set(self, "_plus", plus)
 
     @property
     def n(self) -> int:
@@ -70,17 +70,19 @@ class SignedFunction:
         return "".join("+" if a == 1 else "-" for a in self.assignment)
 
 
-@dataclass(frozen=True, slots=True)
-class VertexSet:
+class VertexSet(FrozenRecord):
     """A vertex subset certificate: a k-tuple dominating set or a k-limited packing.
 
     The set is stored as one bit mask, bit v for vertex v. ``size``,
     ``sorted_members()`` and the read-only ``members`` view derive from it.
     """
 
-    mask: int
-    role: str
-    k: int
+    __slots__ = _fields = ("mask", "role", "k")
+
+    def __init__(self, mask: int, role: str, k: int):
+        _set(self, "mask", mask)
+        _set(self, "role", role)
+        _set(self, "k", k)
 
     @property
     def size(self) -> int:

@@ -8,8 +8,6 @@ Graphs are immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 # A sanity cap on input size. The solvers stop well below it, at 40 vertices
 # (solvers.BNB_CAP), and the graph6 codec at 62.
 MAX_VERTICES = 512
@@ -113,8 +111,55 @@ def mask_of(members) -> int:
     return m
 
 
-@dataclass(slots=True)
-class StructuralProfile:
+class Record:
+    """A value record: equality and repr over the fields that ``_fields`` names.
+
+    Two records are equal when they are of the same class and ``_values()``
+    agree; a record is unhashable, as a mutable value should be. The repr is
+    ``Name(field=value, ...)`` in ``_fields`` order. A subclass that adds no
+    ``__slots__`` keeps a ``__dict__``.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A Record that refuses assignment and deletion and hashes by ``_values()``.
+
+    Its constructor sets the fields past ``__setattr__`` and takes them in
+    ``_fields`` order, so a copy or an unpickled record is rebuilt through it,
+    validation included. Only frozen records define ``__setattr__``: on a
+    mutable one it would slow every assignment in the constructor.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class StructuralProfile(Record):
     """The structural counts of a graph that the bounds, checks and reports read.
 
     ``leaf_mask`` holds the leaves (degree-1 vertices) as a bit mask, and
@@ -126,17 +171,26 @@ class StructuralProfile:
     changes one after it is built.
     """
 
-    n: int
-    m: int
-    delta: int
-    Delta: int
-    leaf_mask: int
-    leaf_count: int
-    support_count: int
-    odd_count: int
-    delta_star: int | None
-    is_connected: bool
-    is_tree: bool
+    __slots__ = _fields = (
+        "n", "m", "delta", "Delta", "leaf_mask", "leaf_count", "support_count", "odd_count", "delta_star",
+        "is_connected", "is_tree",
+    )
+
+    def __init__(
+        self, n: int, m: int, delta: int, Delta: int, leaf_mask: int, leaf_count: int, support_count: int,
+        odd_count: int, delta_star: int | None, is_connected: bool, is_tree: bool,
+    ):
+        self.n = n
+        self.m = m
+        self.delta = delta
+        self.Delta = Delta
+        self.leaf_mask = leaf_mask
+        self.leaf_count = leaf_count
+        self.support_count = support_count
+        self.odd_count = odd_count
+        self.delta_star = delta_star
+        self.is_connected = is_connected
+        self.is_tree = is_tree
 
 
 def pendant_masks(g: Graph) -> tuple[int, int, int]:

@@ -51,11 +51,9 @@ The certificate types the solvers return, and the checks on them, live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .certify import ROLE_LIMITED_PACKING, ROLE_TUPLE_DOMINATING, SignedFunction, VertexSet
 from .certify import verify_sdf  # noqa: F401  the benchmark harness reads it here; ROADMAP item 2 drops it
-from .graphs import Graph, bits, leaf_first_order, mask_of, pendant_masks
+from .graphs import Graph, Record, bits, leaf_first_order, mask_of, pendant_masks
 
 ORACLE_CAP = 20
 BNB_CAP = 40
@@ -65,13 +63,15 @@ class SizeCapError(ValueError):
     """Input exceeds the solver's size cap (BNB_CAP, or ORACLE_CAP for the oracle)."""
 
 
-@dataclass(slots=True)
-class PartitionStats:
+class PartitionStats(Record):
     """Edges inside V+ and inside V-, and across the cut [V+, V-]; a slotted value record."""
 
-    e_plus: int
-    e_minus: int
-    cut: int
+    __slots__ = _fields = ("e_plus", "e_minus", "cut")
+
+    def __init__(self, e_plus: int, e_minus: int, cut: int):
+        self.e_plus = e_plus
+        self.e_minus = e_minus
+        self.cut = cut
 
 
 def partition_stats(g: Graph, f: SignedFunction) -> PartitionStats:

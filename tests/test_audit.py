@@ -1,5 +1,5 @@
 import concurrent.futures
-import dataclasses
+import copy
 import json
 import os
 import tracemalloc
@@ -213,16 +213,19 @@ def test_corpus_spec_raises_the_generators_errors():
     CorpusSpec(kind="cycle", n_min=-1, n_max=4)
 
 
-@pytest.mark.parametrize("case", ("jobs=0", "no connected sample"))
+@pytest.mark.parametrize("case", ("jobs=0", "no connected sample", "no connected sample at a later size"))
 def test_argument_errors_come_before_any_report_file(monkeypatch, tmp_path, case):
     # jobs < 1, and a probability that passes CorpusSpec but gives no connected
-    # G(8, 0.01) sample, both fail before a report file is opened.
+    # G(8, 0.01) sample, or none of G(7, 0.08) after n = 4..6 have some, all
+    # fail before a report file is opened.
     opened = []
     monkeypatch.setattr(audit_mod._ReportFiles, "open", lambda self, destination: opened.append(destination))
     if case == "jobs=0":
         spec, jobs, message = CorpusSpec("path", 3, 5), 0, "jobs must be >= 1"
-    else:
+    elif case == "no connected sample":
         spec, jobs, message = CorpusSpec("random_connected", 8, 9, p=0.01), 1, "no connected G"
+    else:
+        spec, jobs, message = CorpusSpec("random_connected", 4, 14, p=0.08), 1, r"no connected G\(7,0.08\)"
     with pytest.raises(ValueError, match=message):
         audit_corpus(spec, tmp_path / "r.csv", tmp_path / "r.json", jobs=jobs)
     with pytest.raises(ValueError, match=message):
@@ -249,12 +252,9 @@ def test_trees_exhaustive_corpus_count():
     assert ids[0] == "tree-n2-0000000"
 
 
-def test_violation_aborts_with_dump(monkeypatch):
+def test_violation_aborts_with_dump(violate_thm3_3):
     g = cycle_graph(6)
-    # thm3_3 made to read n + 2 = 8 on C6, above gamma_s = 2.
-    real = audit_mod.lb_max_degree_domination
-    monkeypatch.setattr(audit_mod, "lb_max_degree_domination",
-                        lambda profile, gamma: dataclasses.replace(real(profile, gamma), tightened=profile.n + 2))
+    violate_thm3_3()
     assert audit_graph(g, "C6").violations() == ["bound thm3_3 violated (raw=0, gamma_s=2)"]
 
     spec = CorpusSpec(kind="cycle", n_min=6, n_max=6)
@@ -632,7 +632,8 @@ def test_empty_core_with_minus_vertices_aborts():
     # must raise under ``python -O`` too.
     g = cycle_graph(6)
     report = audit_graph(g, "C6")
-    profile = dataclasses.replace(report.profile, delta_star=None)
+    profile = copy.copy(report.profile)
+    profile.delta_star = None
     with pytest.raises(BoundViolation, match="empty core"):
         audit_mod._invariant_checks(g, profile, report)
 

@@ -6,8 +6,6 @@ set of those inputs. A lone audit builds a row of its own, so a swept report
 equals the lone audit of its graph, field for field and byte for byte.
 """
 
-import dataclasses
-
 import pytest
 
 import signeddom.audit as audit_mod
@@ -15,6 +13,7 @@ from signeddom import (
     BoundViolation,
     CorpusSpec,
     Graph,
+    StructuralProfile,
     audit_corpus,
     audit_graph,
     cycle_graph,
@@ -61,7 +60,8 @@ def test_the_memo_key_separates_connected_from_disconnected():
     # connectivity would hand the second graph the first one's row.
     graphs = {"C6": cycle_graph(6), "2K3": Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])}
     lone = {name: audit_graph(g, name) for name, g in graphs.items()}
-    c6, two_k3 = (dataclasses.asdict(structural_profile(g)) for g in graphs.values())
+    c6, two_k3 = ({k: getattr(p, k) for k in StructuralProfile.__slots__}
+                  for p in map(structural_profile, graphs.values()))
     assert {k for k in c6 if c6[k] != two_k3[k]} == {"is_connected"}
     assert {(r.rho, r.gamma, r.gamma_s) for r in lone.values()} == {(2, 2, 2)}
     assert all(b.reason == "disconnected" for b, _, _ in lone["2K3"].bounds)
@@ -96,14 +96,12 @@ def test_a_lone_audit_evaluates_every_bound(monkeypatch):
 
 
 @pytest.mark.parametrize("jobs", (1, 2))
-def test_the_memo_lives_one_sweep(monkeypatch, jobs):
+def test_the_memo_lives_one_sweep(violate_thm3_3, jobs):
     # A memo kept across sweeps would answer the second sweep from the first
     # and never call the patched bound. Pool workers are forked after the patch.
     spec = CorpusSpec("cycle", 3, 8)
     audit_corpus(spec, jobs=jobs)
-    real = audit_mod.lb_max_degree_domination
-    monkeypatch.setattr(audit_mod, "lb_max_degree_domination",
-                        lambda profile, gamma: dataclasses.replace(real(profile, gamma), tightened=profile.n + 2))
+    violate_thm3_3()
     with pytest.raises(BoundViolation, match="bound thm3_3 violated"):
         audit_corpus(spec, jobs=jobs)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -7,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-import signeddom.audit as audit_mod
 import signeddom.cli as cli_mod
 from signeddom import BoundViolation, audit_graph, cycle_graph, parse_graph, path_graph, serialize_graph, verify_sdf
 from signeddom.cli import main
@@ -211,13 +209,10 @@ def test_bounds_command(tmp_path, capsys):
     assert "thm3_3       lower NA (n = 0)" in out and "VIOLATED" not in out
 
 
-def test_bounds_violation_exit_code(tmp_path, capsys, monkeypatch):
+def test_bounds_violation_exit_code(tmp_path, capsys, violate_thm3_3):
     c6 = tmp_path / "c6.el"
     c6.write_text(serialize_graph(cycle_graph(6), "edgelist"))
-    # thm3_3 made to read n + 2 = 8 on C6, above gamma_s = 2.
-    real = audit_mod.lb_max_degree_domination
-    monkeypatch.setattr(audit_mod, "lb_max_degree_domination",
-                        lambda profile, gamma: dataclasses.replace(real(profile, gamma), tightened=profile.n + 2))
+    violate_thm3_3()
     code, out, err = run(capsys, "bounds", "--input", str(c6))
     assert code == 2
     assert "thm3_3       lower raw=0 tightened=8 gap=6 VIOLATED" in out

@@ -8,6 +8,10 @@ any change to the CSV or JSON bytes fails here.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +62,23 @@ def test_sweep_bytes_are_frozen(tmp_path, name, jobs):
     spec, csv_digest, json_digest = SWEEPS[name]
     csv_p, json_p = tmp_path / "r.csv", tmp_path / "r.json"
     audit_corpus(spec, csv_path=csv_p, json_path=json_p, jobs=jobs)
+    assert (sha256(csv_p.read_bytes()), sha256(json_p.read_bytes())) == (csv_digest, json_digest)
+
+
+def test_spawned_pool_writes_the_frozen_bytes(tmp_path):
+    # Under the spawn start method, the default on macOS and Windows, every
+    # worker imports the package afresh and the graphs and reports cross by pickle.
+    spec, csv_digest, json_digest = SWEEPS["trees n<=5"]
+    code = (
+        "import multiprocessing, sys\n"
+        "from signeddom import CorpusSpec, audit_corpus\n"
+        "if __name__ == '__main__':\n"
+        "    multiprocessing.set_start_method('spawn')\n"
+        f"    audit_corpus({spec!r}, sys.argv[1], sys.argv[2], jobs=2)\n"
+    )
+    csv_p, json_p = tmp_path / "r.csv", tmp_path / "r.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    subprocess.run([sys.executable, "-c", code, str(csv_p), str(json_p)], env=env, check=True, timeout=120)
     assert (sha256(csv_p.read_bytes()), sha256(json_p.read_bytes())) == (csv_digest, json_digest)
 
 

@@ -22,8 +22,11 @@ def test_no_assert_statements_in_package():
 
 def test_import_loads_no_tempfile_or_pool():
     # audit_corpus imports tempfile for a JSON sweep and the process pool for
-    # jobs > 1, each only there. -S keeps out what site's own imports load.
-    code = "import sys, signeddom; print(sorted({'tempfile', 'concurrent.futures'} & set(sys.modules)))"
+    # jobs > 1, each only there; the records are hand-written classes, so
+    # nothing loads dataclasses or the inspect module it pulls in. -S keeps
+    # out what site's own imports load.
+    modules = {"tempfile", "concurrent.futures", "dataclasses", "inspect"}
+    code = f"import sys, signeddom; print(sorted({modules!r} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
